@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails (a depth > norm
 violation, a failed relator or injectivity check, a broken transfer bound),
-2 on usage or input errors.  All output is deterministic given the inputs.
+2 on usage or input errors, and on an unexpected internal error, which is
+reported as one `error: internal error: ...` line.  All output is
+deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -217,6 +219,9 @@ def run(argv=None):
         return _dispatch(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # a bug must not read as a failed verification (exit 1)
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

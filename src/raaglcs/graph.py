@@ -13,9 +13,12 @@ class Graph:
     The declaration order of the vertices is the total order used by every
     canonical form and tie-break downstream.  Instances are immutable and
     hashable; equal vertex lists and edge sets compare equal.
+
+    `masks[i]` is the bitmask of the vertex indices adjacent to vertex i; the
+    word and series kernels test commutation with it on int-coded letters.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_nbrs", "_hash")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_hash")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
@@ -26,7 +29,7 @@ class Graph:
             if v in index:
                 raise ValueError(f"duplicate vertex name {v!r}")
             index[v] = len(index)
-        nbrs = {v: set() for v in vertices}
+        masks = [0] * len(vertices)
         pairs = set()
         for edge in edges:
             u, v = edge
@@ -39,12 +42,12 @@ class Graph:
             if index[u] > index[v]:
                 u, v = v, u
             pairs.add((u, v))
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            masks[index[u]] |= 1 << index[v]
+            masks[index[v]] |= 1 << index[u]
         self.vertices = vertices
         self.edges = frozenset(pairs)
+        self.masks = tuple(masks)
         self._index = index
-        self._nbrs = {v: frozenset(s) for v, s in nbrs.items()}
         self._hash = hash((vertices, self.edges))
 
     def index(self, v):
@@ -60,7 +63,7 @@ class Graph:
             raise ValueError(f"unknown vertex {u!r}")
         if v not in self._index:
             raise ValueError(f"unknown vertex {v!r}")
-        return v in self._nbrs[u]
+        return bool(self.masks[self._index[u]] >> self._index[v] & 1)
 
     def is_complete(self):
         """True iff every pair of distinct vertices is joined by an edge."""

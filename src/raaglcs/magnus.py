@@ -4,8 +4,20 @@ Each generator s maps to 1 + s, which is invertible in the truncated series
 ring; the image of a word is the product of its syllable factors.  An element
 lies in the k-th dimension subgroup iff its image is 1 plus terms of degree
 at least k, and for graph groups that filtration coincides with the lower
-central series, so the minimal positive degree in the image is the element's
-exact lower-central-series depth.
+central series (Duchamp-Krob 1992), so the minimal positive degree in the
+image is the element's exact lower-central-series depth.
+
+The image is computed by a small kernel on int-coded data: a letter is its
+vertex index, a trace is the tuple of its lex-least letters, and a series is
+a dict from such tuples to nonzero ints.  Multiplying on the right by
+(1 + s)^e = sum_k C(e, k) s^k extends every term t of degree < cap - 1 by
+s^k, and all k copies of s go in at the one place `lex_insertion_point`
+finds for s in t (Anisimov-Knuth insertion: across the commuting suffix,
+before its first greater letter), so the result is lex-least with no
+re-sort.  `Trace`, `TruncatedSeries` and `GroupWord` stay the validated
+types at the boundary: words are validated as they are built, the kernel
+trusts its own canonical tuples, `mu` converts its result once at exit,
+and `lcs_depth` builds a single `Trace`, for the witness.
 """
 
 from __future__ import annotations
@@ -13,8 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .series import TruncatedSeries
-from .words import Trace
+from .series import TruncatedSeries, check_cap
+from .words import Trace, lex_insertion_point
+
+
+def _binomials(e, cap):
+    """C(e, k) for k < cap, cut at the first zero (k > e > 0).
+
+    For negative e these are the alternating geometric-series coefficients.
+    """
+    coeffs = [1]
+    for k in range(1, cap):
+        coeff = coeffs[-1] * (e - k + 1) // k  # exact: binomials are integers
+        if coeff == 0:
+            break
+        coeffs.append(coeff)
+    return coeffs
 
 
 def syllable_factor(graph, s, e, cap):
@@ -28,31 +54,57 @@ def syllable_factor(graph, s, e, cap):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     graph.index(s)
-    terms = []
-    coeff = 1
-    for k in range(cap):
-        if k:
-            coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
-        if coeff == 0:
-            break
-        terms.append((Trace(graph, (s,) * k), coeff))
-    return TruncatedSeries(graph, cap, terms)
+    return TruncatedSeries(graph, cap, [(Trace(graph, (s,) * k), coeff)
+                                        for k, coeff in enumerate(_binomials(e, cap))])
+
+
+def _codes(word):
+    """The word's syllables as (vertex index, exponent), zero exponents dropped."""
+    index = word.graph.index
+    return [(index(s), e) for s, e in word.syllables if e]
+
+
+def _image(graph, codes, cap):
+    """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap."""
+    masks = graph.masks
+    image = {(): 1}
+    for s, e in codes:
+        coeffs = _binomials(e, cap)
+        mask = masks[s]
+        out = image.copy()  # the k = 0 terms
+        for t, c in image.items():
+            top = min(len(coeffs), cap - len(t))
+            if top > 1:
+                pos = lex_insertion_point(t, t, s, mask)
+                head, tail = t[:pos], t[pos:]
+                for k in range(1, top):
+                    head += (s,)
+                    term = head + tail
+                    out[term] = out.get(term, 0) + c * coeffs[k]
+        image = {t: c for t, c in out.items() if c}
+    return image
+
+
+def _degree_lex(t):
+    return (len(t), t)
 
 
 def mu(word, cap):
     """Image of a word under generator -> 1 + generator, truncated below cap."""
-    out = TruncatedSeries.one(word.graph, cap)
-    for s, e in word.syllables:
-        if e:
-            out = out * syllable_factor(word.graph, s, e, cap)
-    return out
+    check_cap(cap)
+    graph = word.graph
+    vertices = graph.vertices
+    image = _image(graph, _codes(word), cap)
+    terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): image[t]
+             for t in sorted(image, key=_degree_lex)}
+    return TruncatedSeries._trusted(graph, cap, terms)
 
 
 def in_dimension_subgroup(word, k):
     """True iff the series image of the word is 1 + (terms of degree >= k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return mu(word, k) == TruncatedSeries.one(word.graph, k)
+    return _image(word.graph, _codes(word), k) == {(): 1}
 
 
 @dataclass(frozen=True)
@@ -82,15 +134,13 @@ class DepthResult:
         return cls("infinite")
 
 
-def _depth_at_cap(reduced, cap):
-    series = mu(reduced, cap)
-    degree = series.min_positive_degree()
-    if degree is None:
+def _depth_at_cap(graph, codes, cap):
+    image = _image(graph, codes, cap)
+    positive = [_degree_lex(t) for t in image if t]
+    if not positive:
         return DepthResult.at_least(cap)
-    for trace in series.terms:  # (degree, lex) order: first hit is the witness
-        if trace.length == degree:
-            return DepthResult.exact(degree, trace)
-    raise AssertionError("unreachable")
+    degree, letters = min(positive)  # the lex-least trace at the minimal degree
+    return DepthResult.exact(degree, Trace(graph, [graph.vertices[a] for a in letters]))
 
 
 def lcs_depth(word, cap=None):
@@ -106,11 +156,14 @@ def lcs_depth(word, cap=None):
     reduced = word.reduced()
     if not reduced.syllables:
         return DepthResult.infinite()
+    graph = word.graph
+    codes = _codes(reduced)
     if cap is not None:
-        return _depth_at_cap(reduced, cap)
+        check_cap(cap)
+        return _depth_at_cap(graph, codes, cap)
     limit = reduced.norm() + 1
     for c in range(2, limit + 1):
-        result = _depth_at_cap(reduced, c)
+        result = _depth_at_cap(graph, codes, c)
         if result.kind == "exact":
             return result
     return DepthResult.at_least(limit)

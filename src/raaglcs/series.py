@@ -10,6 +10,11 @@ from __future__ import annotations
 from .words import Trace
 
 
+def check_cap(cap):
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+
+
 class TruncatedSeries:
     """Finite Z-linear combination of traces of length < cap.
 
@@ -21,8 +26,7 @@ class TruncatedSeries:
     __slots__ = ("graph", "cap", "terms")
 
     def __init__(self, graph, cap, terms=()):
-        if not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"cap must be a positive integer, got {cap!r}")
+        check_cap(cap)
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for trace, coeff in items:
@@ -38,6 +42,15 @@ class TruncatedSeries:
         self.graph = graph
         self.cap = cap
         self.terms = ordered
+
+    @classmethod
+    def _trusted(cls, graph, cap, terms):
+        """A series from a dict already normalized as `terms` is; nothing is checked."""
+        series = object.__new__(cls)
+        series.graph = graph
+        series.cap = cap
+        series.terms = terms
+        return series
 
     @classmethod
     def one(cls, graph, cap):

@@ -9,7 +9,6 @@ is a well-defined representative of that swap class.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 
 class GroupWord:
@@ -75,33 +74,22 @@ class GroupWord:
     def canonical(self):
         """The lexicographically least fully reduced representative.
 
-        Greedy: repeatedly emit the least movable syllable, where a syllable
-        is movable iff its generator differs from and commutes with every
-        earlier unemitted generator.  Syllables compare by (generator order,
-        exponent ascending).
+        Syllables compare by (generator order, exponent) and two syllables
+        commute iff their generators are adjacent; the reduced syllables are
+        appended one at a time with `lex_insertion_point`.
         """
         if self._canonical is not None:
             return self._canonical
         graph = self.graph
-        idx = graph.index
-        pending = list(self.reduced().syllables)
-        out = []
-        while pending:
-            best_key = None
-            best_pos = 0
-            for pos, (gen, exp) in enumerate(pending):
-                movable = True
-                for earlier, _ in pending[:pos]:
-                    if earlier == gen or not graph.are_adjacent(gen, earlier):
-                        movable = False
-                        break
-                if movable:
-                    key = (idx(gen), exp)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_pos = pos
-            out.append(pending.pop(best_pos))
-        word = GroupWord(graph, out)
+        masks = graph.masks
+        keys, gens = [], []
+        for gen, exp in self.reduced().syllables:
+            g = graph.index(gen)
+            pos = lex_insertion_point(keys, gens, (g, exp), masks[g])
+            keys.insert(pos, (g, exp))
+            gens.insert(pos, g)
+        vertices = graph.vertices
+        word = GroupWord(graph, [(vertices[g], e) for g, e in keys])
         word._reduced = word
         word._canonical = word
         self._canonical = word
@@ -153,29 +141,25 @@ def commutator(u, v):
     return u * v * u.inverse() * v.inverse()
 
 
-@lru_cache(maxsize=1 << 18)
-def _lex_least_letters(graph, letters):
-    # Greedy linearization: repeatedly pull out the least letter that differs
-    # from and commutes with everything before it.
-    if len(letters) < 2:
-        return letters
-    idx = graph.index
-    pending = list(letters)
-    out = []
-    while pending:
-        best = None
-        best_pos = 0
-        for pos, a in enumerate(pending):
-            blocked = False
-            for b in pending[:pos]:
-                if b == a or not graph.are_adjacent(a, b):
-                    blocked = True
-                    break
-            if not blocked and (best is None or idx(a) < idx(best)):
-                best = a
-                best_pos = pos
-        out.append(pending.pop(best_pos))
-    return tuple(out)
+def lex_insertion_point(keys, gens, key, mask):
+    """Position at which `key` goes when appended to the lex-least sequence `keys`.
+
+    gens[i] is the generator index of keys[i], and mask is the adjacency
+    bitmask of key's generator; two entries commute iff their generators are
+    adjacent.  By the Anisimov-Knuth characterization (Inhomogeneous sorting,
+    1979; Diekert-Rozenberg, The Book of Traces, 1995) a sequence is the
+    lex-least of its commutation class iff it has no factor b u a with a < b
+    and a commuting with b and with every letter of u.  So the appended key
+    moves left across the maximal suffix it commutes with and stops before
+    the first entry of that suffix that is greater than it: linear time, and
+    the result is again lex-least.
+    """
+    pos = end = len(keys)
+    while pos and mask >> gens[pos - 1] & 1:
+        pos -= 1
+    while pos < end and keys[pos] < key:
+        pos += 1
+    return pos
 
 
 class Trace:
@@ -189,12 +173,24 @@ class Trace:
     __slots__ = ("graph", "letters", "_hash")
 
     def __init__(self, graph, letters=()):
-        letters = tuple(letters)
+        masks = graph.masks
+        codes = []
         for a in letters:
-            graph.index(a)
+            code = graph.index(a)
+            codes.insert(lex_insertion_point(codes, codes, code, masks[code]), code)
+        vertices = graph.vertices
         self.graph = graph
-        self.letters = _lex_least_letters(graph, letters)
+        self.letters = tuple(vertices[c] for c in codes)
         self._hash = hash((graph, self.letters))
+
+    @classmethod
+    def _trusted(cls, graph, letters):
+        """A trace from vertex names already in lex-least order; nothing is checked."""
+        trace = object.__new__(cls)
+        trace.graph = graph
+        trace.letters = letters
+        trace._hash = hash((graph, letters))
+        return trace
 
     @property
     def length(self):
@@ -237,6 +233,10 @@ class Trace:
 
 _SYLLABLE_RE = re.compile(r"[A-Za-z0-9_]+(?:\^[+-]?\d+)?")
 
+# Each commutator level doubles a word, so nesting depth alone can make the
+# expansion exponential; a parsed word may hold at most this many syllables.
+MAX_WORD_SYLLABLES = 100_000
+
 
 def parse_syllables(text):
     """Parse word syntax into raw (generator, exponent) pairs.
@@ -244,7 +244,9 @@ def parse_syllables(text):
     Grammar: whitespace-separated syllables `gen` or `gen^E` with E a nonzero
     signed integer, the bare literal `1` for the identity, and nestable
     commutator brackets `[w1,w2]`.  (A vertex literally named "1" cannot be
-    referenced bare; `1^E` still parses as that generator.)
+    referenced bare; `1^E` still parses as that generator.)  Brackets are
+    expanded without recursion, and a word whose expansion would exceed
+    MAX_WORD_SYLLABLES syllables is rejected before it is built.
     """
     tokens = []
     pos = 0
@@ -263,40 +265,50 @@ def parse_syllables(text):
         tokens.append(match.group(0))
         pos = match.end()
 
-    def parse_seq(i):
-        out = []
-        while i < len(tokens) and tokens[i] not in ("]", ","):
-            if tokens[i] == "[":
-                left, i = parse_seq(i + 1)
-                if i >= len(tokens) or tokens[i] != ",":
-                    raise ValueError("expected ',' inside commutator brackets")
-                right, i = parse_seq(i + 1)
-                if i >= len(tokens) or tokens[i] != "]":
-                    raise ValueError("expected ']' closing commutator brackets")
-                i += 1
-                out.extend(left)
-                out.extend(right)
-                out.extend((s, -e) for s, e in reversed(left))
-                out.extend((s, -e) for s, e in reversed(right))
-            else:
-                token = tokens[i]
-                i += 1
-                if token == "1":
-                    continue
-                name, _, exp = token.partition("^")
-                if not exp:
-                    out.append((name, 1))
-                else:
-                    value = int(exp)
-                    if value == 0:
-                        raise ValueError(f"zero exponent in {token!r}")
-                    out.append((name, value))
-        return out, i
+    # One frame per open bracket: the enclosing syllables and the enclosing
+    # bracket's left operand (None until its ',' is seen).
+    frames = []
+    current, left = [], None
+    for token in tokens:
+        if token == "[":
+            frames.append((current, left))
+            current, left = [], None
+        elif token == ",":
+            if not frames:
+                raise ValueError("unexpected ',' in word")
+            if left is not None:
+                raise ValueError("expected ']' closing commutator brackets")
+            left, current = current, []
+        elif token == "]":
+            if not frames:
+                raise ValueError("unexpected ']' in word")
+            if left is None:
+                raise ValueError("expected ',' inside commutator brackets")
+            right = current
+            current, outer_left = frames.pop()
+            _check_size(len(current) + 2 * (len(left) + len(right)))
+            current.extend(left)
+            current.extend(right)
+            current.extend((s, -e) for s, e in reversed(left))
+            current.extend((s, -e) for s, e in reversed(right))
+            left = outer_left
+        elif token != "1":
+            name, _, exp = token.partition("^")
+            value = int(exp) if exp else 1
+            if value == 0:
+                raise ValueError(f"zero exponent in {token!r}")
+            current.append((name, value))
+            _check_size(len(current))
+    if frames:
+        if left is None:
+            raise ValueError("expected ',' inside commutator brackets")
+        raise ValueError("expected ']' closing commutator brackets")
+    return current
 
-    syllables, i = parse_seq(0)
-    if i != len(tokens):
-        raise ValueError(f"unexpected {tokens[i]!r} in word")
-    return syllables
+
+def _check_size(syllables):
+    if syllables > MAX_WORD_SYLLABLES:
+        raise ValueError(f"word expands to more than {MAX_WORD_SYLLABLES} syllables")
 
 
 def parse_word(text, graph):

@@ -1,6 +1,7 @@
 import pytest
 
 from raaglcs import Dissection, format_dissection, standard_dissection
+from raaglcs import cli
 from raaglcs.cli import run
 
 
@@ -150,3 +151,28 @@ def test_unknown_generator_exit_two(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_deeply_nested_brackets_exit_two(tmp_path, capsys):
+    word = "[a," * 1200 + "b" + "]" * 1200  # expands to about 2^1200 syllables
+    assert run(["nf", "--graph", f2_file(tmp_path), word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: word expands to more than")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_deep_nesting_without_blowup_parses(tmp_path, capsys):
+    word = "[1," * 5000 + "1" + "]" * 5000  # nested identities expand to nothing
+    assert run(["nf", "--graph", f2_file(tmp_path), word]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_internal_error_exit_two(tmp_path, capsys, monkeypatch):
+    def broken(_path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_graph", broken)
+    assert run(["nf", "--graph", f2_file(tmp_path), "a"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: boom\n"

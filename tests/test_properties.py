@@ -1,0 +1,99 @@
+"""Property tests of the Magnus kernel and the lex-least routine against
+independent oracles: the generic series product, and swap closure by BFS."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import c4, f2, k3_minus_edge, p3, swap_closure_lex_min
+from raaglcs import (Graph, GroupWord, Trace, TruncatedSeries, lcs_depth, mu,
+                     syllable_factor)
+
+GRAPHS = [f2(), p3(), c4(), k3_minus_edge(),
+          Graph(["a", "b", "c", "d", "e"],
+                [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c")])]
+EXPONENTS = [-3, -2, -1, 1, 2, 3]
+FEW = settings(max_examples=60, deadline=None)
+
+
+def words(graph, max_syllables=5, exponents=EXPONENTS):
+    syllable = st.tuples(st.sampled_from(graph.vertices), st.sampled_from(exponents))
+    return st.lists(syllable, max_size=max_syllables).map(lambda s: GroupWord(graph, s))
+
+
+@st.composite
+def graph_and_word(draw, max_syllables=5, exponents=EXPONENTS):
+    graph = draw(st.sampled_from(GRAPHS))
+    return graph, draw(words(graph, max_syllables, exponents))
+
+
+def generic_mu(word, cap):
+    """mu by the generic path: the product of syllable factors."""
+    out = TruncatedSeries.one(word.graph, cap)
+    for s, e in word.syllables:
+        out = out * syllable_factor(word.graph, s, e, cap)
+    return out
+
+
+def swap_closure_min_letters(graph, letters):
+    """Lex-min letter sequence among all words reachable by swapping
+    adjacent commuting letters (breadth-first closure)."""
+    start = tuple(letters)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for word in frontier:
+            for i in range(len(word) - 1):
+                a, b = word[i], word[i + 1]
+                if a != b and graph.are_adjacent(a, b):
+                    swapped = word[:i] + (b, a) + word[i + 2:]
+                    if swapped not in seen:
+                        seen.add(swapped)
+                        grown.append(swapped)
+        frontier = grown
+    return min(seen, key=lambda word: [graph.index(a) for a in word])
+
+
+@FEW
+@given(graph_and_word(), st.integers(1, 7))
+def test_mu_matches_generic_product(gw, cap):
+    _, word = gw
+    assert mu(word, cap) == generic_mu(word, cap)
+
+
+@FEW
+@given(st.data(), st.integers(1, 6))
+def test_mu_is_multiplicative(data, cap):
+    graph = data.draw(st.sampled_from(GRAPHS))
+    u = data.draw(words(graph, 4))
+    v = data.draw(words(graph, 4))
+    assert mu(u * v, cap) == mu(u, cap) * mu(v, cap)
+
+
+@FEW
+@given(graph_and_word(max_syllables=7))
+def test_canonical_matches_swap_closure(gw):
+    _, word = gw
+    assert word.canonical().syllables == swap_closure_lex_min(word)
+
+
+@FEW
+@given(st.data())
+def test_trace_matches_swap_closure(data):
+    graph = data.draw(st.sampled_from(GRAPHS))
+    letters = data.draw(st.lists(st.sampled_from(graph.vertices), max_size=7))
+    assert Trace(graph, letters).letters == swap_closure_min_letters(graph, letters)
+
+
+@FEW
+@given(graph_and_word(max_syllables=4, exponents=[-2, -1, 1, 2]))
+def test_lcs_depth_matches_generic_series(gw):
+    _, word = gw
+    result = lcs_depth(word)
+    if word.is_identity():
+        assert result.kind == "infinite"
+        return
+    series = generic_mu(word.reduced(), word.norm() + 1)
+    degree = series.min_positive_degree()
+    witness = next(t for t in series.terms if t.length == degree)
+    assert (result.kind, result.depth, result.witness_trace) == ("exact", degree, witness)

@@ -5,6 +5,7 @@ import pytest
 from conftest import (f2, k3, p3, piling_is_trivial, random_graph, random_word,
                       swap_closure_lex_min, z2)
 from raaglcs import GroupWord, Trace, commutator, parse_syllables, parse_word
+from raaglcs.words import MAX_WORD_SYLLABLES
 
 
 # --- full reduction ---
@@ -276,3 +277,26 @@ def test_str_round_trip():
 
 def test_str_identity():
     assert str(GroupWord(f2())) == "1"
+
+
+def test_parse_rejects_exponential_expansion():
+    with pytest.raises(ValueError, match="expands to more than"):
+        parse_syllables("[a," * 40 + "b" + "]" * 40)
+
+
+def test_parse_size_bound_is_exact():
+    # weight-16 left-normed commutator: 3 * 2^15 - 2 syllables, under the bound
+    text = "a"
+    for _ in range(15):
+        text = f"[{text},b]"
+    assert len(parse_syllables(text)) == 3 * 2 ** 15 - 2 <= MAX_WORD_SYLLABLES
+    with pytest.raises(ValueError, match="expands to more than"):
+        parse_syllables(f"[{text},b]")
+
+
+def test_parse_bracket_errors():
+    for text, message in [("[a b]", "expected ','"), ("[a", "expected ','"),
+                          ("[a,b", "expected ']'"), ("[a,b,c]", "expected ']'"),
+                          ("a, b", "unexpected ','"), ("a]", "unexpected ']'")]:
+        with pytest.raises(ValueError, match=message):
+            parse_syllables(text)
