@@ -1,49 +1,147 @@
 """Exhaustive desk-scale searches over group elements.
 
-Enumeration by norm feeds two consumers: the depth function (least norm of a
-nontrivial element in the k-th lower central term) and the sweep that checks
-depth <= norm for every element up to a norm bound.
+Each element is enumerated exactly once, as its canonical form: the fully
+reduced, lex-least syllable word of `GroupWord.canonical`.  These forms make
+a regular language (Hermiller-Meier 1995, Algorithms and geometry for graph
+products of groups), read by an automaton whose state after a prefix is one
+bitmask, `forbidden`, of the generators that cannot come next.  Two
+syllables commute only when their generators differ and are adjacent, so
+lex order compares only generator indices there.  Appending generator g is
+legal iff bit g of forbidden is clear, and the state becomes
+
+    1 << g | masks[g] & ((1 << g) - 1 | forbidden)
+
+g itself would merge with the syllable just placed; a generator h adjacent
+to g would commute past it, so it is barred when h < g (not lex-least) or
+when it was barred already; every other generator is free again.
+
+A sphere (one norm) is walked depth first, children in ascending (vertex
+index, exponent) order.  A proper prefix has a smaller norm, so the sphere
+comes out in lex order with no sort.  Spheres are streamed in increasing
+norm: the depth function stops at its first hit, and the depth <= norm
+sweep never holds the ball.
+
+The ball's size is known before anything is generated, from the spherical
+growth series 1 / sum_k c_k (-2t / (1 + t))^k, c_k the number of k-vertex
+cliques (Chiswell 1994, The growth series of a graph product); every search
+rejects a ball of more than MAX_BALL_ELEMENTS elements up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .magnus import in_dimension_subgroup, lcs_depth
 from .words import GroupWord, commutator
 
+# Enumerations, sweeps and depth-function scans refuse balls larger than
+# this.  It admits the ball of C4 up to norm 8 (139,969 elements); the list
+# that enumerate_elements returns stays within tens of MiB.
+MAX_BALL_ELEMENTS = 200_000
 
-def _sort_key(word):
-    idx = word.graph.index
-    return (word.norm(), tuple((idx(s), e) for s, e in word.syllables))
+
+def ball_size(graph, max_norm, cap):
+    """min(cap + 1, number of elements of norm <= max_norm, the identity included).
+
+    Multiplying Chiswell's series through by (1 + t)^D, D the largest
+    clique counted, leaves a quotient of integer polynomials whose
+    denominator has constant term c_0 = 1, divided here as exact power
+    series.  Coefficients up to max_norm use only cliques of at most
+    max_norm vertices.  Each such clique is the support of its own element
+    (the product of its vertices), so the clique count is bounded by the
+    ball too, and both counts stop once they pass cap.
+    """
+    masks = graph.masks
+    cliques = [1]
+    total = 1
+    stack = [(0, (1 << len(masks)) - 1)]  # (clique size, vertices extending it)
+    while stack:
+        size, candidates = stack.pop()
+        if size == max_norm:
+            continue
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1  # later vertices only: each clique once
+            if len(cliques) == size + 1:
+                cliques.append(0)
+            cliques[size + 1] += 1
+            total += 1
+            if total > cap:
+                return cap + 1
+            stack.append((size + 1, candidates & masks[v]))
+    top = len(cliques) - 1
+    den = [0] * (top + 1)
+    for k, c in enumerate(cliques):
+        for j in range(top - k + 1):
+            den[k + j] += c * (-2) ** k * comb(top - k, j)
+    spheres = []
+    total = 0
+    for n in range(max_norm + 1):
+        spheres.append(comb(top, n) - sum(den[j] * spheres[n - j]
+                                          for j in range(1, min(n, top) + 1)))
+        total += spheres[n]
+        if total > cap:
+            return cap + 1
+        if not spheres[n]:
+            break  # a sphere is empty only when every later one is too
+    return total
 
 
-def enumerate_elements(graph, max_norm):
-    """All distinct nontrivial elements of norm <= max_norm.
+def _sphere(graph, norm):
+    """Canonical syllable tuples of norm exactly `norm` (>= 1), in lex order."""
+    masks = graph.masks
+    vertices = graph.vertices
+    dead = (1 << len(vertices)) - 1
+    stack = [((), 0, norm)]  # (prefix, forbidden, norm left to spend)
+    while stack:
+        syllables, forbidden, left = stack.pop()
+        if not left:
+            yield syllables
+            continue
+        # Children go on the stack in reverse, so they come off ascending.
+        exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
+        for g in range(len(vertices) - 1, -1, -1):
+            if forbidden >> g & 1:
+                continue
+            after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
+            name = vertices[g]
+            for e in exponents:
+                rest = left - abs(e)
+                if rest and after == dead:
+                    continue
+                stack.append((syllables + ((name, e),), after, rest))
 
-    Walks freely reduced strings over the generators and their inverses,
-    canonicalizes, and deduplicates; results come back sorted by (norm, lex).
-    Cost grows exponentially with max_norm.
+
+def _elements(graph, max_norm):
+    """Stream of the nontrivial elements of norm <= max_norm, (norm, lex) order.
+
+    The ball is checked against MAX_BALL_ELEMENTS here, before the first
+    element is made; the words come out canonical, with nothing to re-reduce.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
-    letters = [(s, 1) for s in graph.vertices] + [(s, -1) for s in graph.vertices]
-    found = {}
-    level = [()]
-    for _ in range(max_norm):
-        grown = []
-        for string in level:
-            for s, e in letters:
-                if string and string[-1] == (s, -e):
-                    continue
-                grown.append(string + ((s, e),))
-        level = grown
-        for string in level:
-            word = GroupWord(graph, string).canonical()
-            if word.syllables and word.syllables not in found:
-                found[word.syllables] = word
-    return sorted(found.values(), key=_sort_key)
+    size = ball_size(graph, max_norm, MAX_BALL_ELEMENTS)
+    if size > MAX_BALL_ELEMENTS:
+        raise ValueError(f"the ball of norm <= {max_norm} has more than "
+                         f"{MAX_BALL_ELEMENTS} elements; lower the norm bound")
+    if size == 1:
+        return iter(())  # only the identity: max_norm 0, or a graph with no vertices
+    trusted = GroupWord._trusted
+    return (trusted(graph, syllables)
+            for norm in range(1, max_norm + 1) for syllables in _sphere(graph, norm))
+
+
+def enumerate_elements(graph, max_norm):
+    """All distinct nontrivial elements of norm <= max_norm, sorted by (norm, lex).
+
+    Each element appears once, as its canonical word, generated directly by
+    the normal-form automaton in the module docstring: no string is
+    canonicalized, deduplicated or sorted.  A ball of more than
+    MAX_BALL_ELEMENTS elements raises ValueError before any is generated.
+    """
+    return list(_elements(graph, max_norm))
 
 
 @dataclass(frozen=True)
@@ -62,14 +160,18 @@ class DepthFunctionRow:
 
 
 def depth_function(graph, k, max_norm):
-    """Depth function value at k by exhaustive scan of norms <= max_norm."""
+    """Depth function value at k by exhaustive scan of norms <= max_norm.
+
+    Elements are streamed in (norm, lex) order and the scan stops at the
+    first one in the k-th lower central term.
+    """
     if graph.is_complete():
         raise ValueError(
             "complete graph: the group is free abelian, hence nilpotent, and "
             "deep lower central terms are trivial")
     if k < 1:
         raise ValueError("k must be >= 1")
-    for word in enumerate_elements(graph, max_norm):
+    for word in _elements(graph, max_norm):
         if in_dimension_subgroup(word, k):
             return DepthFunctionRow(k, "exact", word.norm(), word)
     return DepthFunctionRow(k, "at_least", max_norm + 1)
@@ -127,13 +229,14 @@ class VerifyReport:
 def verify_depth_bound(graph, max_norm):
     """Check depth <= norm for every nontrivial element of norm <= max_norm.
 
-    Tallies the (norm, depth) histogram and collects violations; complete
-    graphs are allowed (a degenerate run where every depth is 1).
+    Tallies the (norm, depth) histogram and collects violations as the
+    elements stream past; complete graphs are allowed (a degenerate run where
+    every depth is 1).
     """
     cells = {}
     violations = []
     checked = 0
-    for word in enumerate_elements(graph, max_norm):
+    for word in _elements(graph, max_norm):
         n = word.norm()
         d = lcs_depth(word).depth
         checked += 1

@@ -17,7 +17,7 @@ from typing import Optional
 from .dissection_table import STANDARD_INTERSECTIONS
 from .graph import Graph
 from .magnus import lcs_depth
-from .words import GroupWord, parse_syllables
+from .words import GroupWord, check_word_size, parse_syllables
 
 
 class Dissection:
@@ -135,17 +135,22 @@ def phi(word, dissection):
     Each generator contributes its signed crossing sequence; an inverse letter
     contributes the sequence reversed with negated signs; exponents repeat the
     block.  Accepts either raw (name, exponent) pairs or word-syntax text.
+    An image of more than MAX_WORD_SYLLABLES letters is rejected before it
+    is built.
     """
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
     graph = intersection_graph(dissection)
-    letters = []
+    blocks = []
     for name, exp in syllables:
         seq = dissection.crossing_sequences.get(name)
         if seq is None:
             raise ValueError(f"unknown surface generator {name!r}")
         block = seq if exp > 0 else tuple((c, -s) for c, s in reversed(seq))
-        for _ in range(abs(exp)):
-            letters.extend(block)
+        blocks.append((block, abs(exp)))
+    check_word_size(sum(len(block) * count for block, count in blocks), "letters")
+    letters = []
+    for block, count in blocks:
+        letters.extend(block * count)
     return GroupWord(graph, letters)
 
 

@@ -32,6 +32,16 @@ class GroupWord:
         self._reduced = None
         self._canonical = None
 
+    @classmethod
+    def _trusted(cls, graph, syllables):
+        """A word from a syllable tuple already in canonical form; nothing is checked."""
+        word = object.__new__(cls)
+        word.graph = graph
+        word.syllables = syllables
+        word._reduced = word
+        word._canonical = word
+        return word
+
     def reduced(self):
         """Equivalent fully reduced word.
 
@@ -89,9 +99,7 @@ class GroupWord:
             keys.insert(pos, (g, exp))
             gens.insert(pos, g)
         vertices = graph.vertices
-        word = GroupWord(graph, [(vertices[g], e) for g, e in keys])
-        word._reduced = word
-        word._canonical = word
+        word = GroupWord._trusted(graph, tuple((vertices[g], e) for g, e in keys))
         self._canonical = word
         return word
 
@@ -120,12 +128,11 @@ class GroupWord:
 
     def to_trace(self):
         """Canonical trace of a positive word; rejects nonpositive exponents."""
-        letters = []
         for gen, exp in self.syllables:
             if exp <= 0:
                 raise ValueError(f"nonpositive exponent {exp} on {gen!r}; traces take positive words")
-            letters.extend([gen] * exp)
-        return Trace(self.graph, letters)
+        check_word_size(sum(exp for _, exp in self.syllables), "letters")
+        return Trace(self.graph, [gen for gen, exp in self.syllables for _ in range(exp)])
 
     def __str__(self):
         if not self.syllables:
@@ -234,7 +241,9 @@ class Trace:
 _SYLLABLE_RE = re.compile(r"[A-Za-z0-9_]+(?:\^[+-]?\d+)?")
 
 # Each commutator level doubles a word, so nesting depth alone can make the
-# expansion exponential; a parsed word may hold at most this many syllables.
+# expansion exponential; a parsed word may hold at most this many syllables,
+# and a word expanded letter by letter (a trace, a surface word's image) at
+# most this many letters.
 MAX_WORD_SYLLABLES = 100_000
 
 
@@ -286,7 +295,7 @@ def parse_syllables(text):
                 raise ValueError("expected ',' inside commutator brackets")
             right = current
             current, outer_left = frames.pop()
-            _check_size(len(current) + 2 * (len(left) + len(right)))
+            check_word_size(len(current) + 2 * (len(left) + len(right)))
             current.extend(left)
             current.extend(right)
             current.extend((s, -e) for s, e in reversed(left))
@@ -298,7 +307,7 @@ def parse_syllables(text):
             if value == 0:
                 raise ValueError(f"zero exponent in {token!r}")
             current.append((name, value))
-            _check_size(len(current))
+            check_word_size(len(current))
     if frames:
         if left is None:
             raise ValueError("expected ',' inside commutator brackets")
@@ -306,9 +315,10 @@ def parse_syllables(text):
     return current
 
 
-def _check_size(syllables):
-    if syllables > MAX_WORD_SYLLABLES:
-        raise ValueError(f"word expands to more than {MAX_WORD_SYLLABLES} syllables")
+def check_word_size(count, unit="syllables"):
+    """Reject a word that would expand to more than MAX_WORD_SYLLABLES units."""
+    if count > MAX_WORD_SYLLABLES:
+        raise ValueError(f"word expands to more than {MAX_WORD_SYLLABLES} {unit}")
 
 
 def parse_word(text, graph):

@@ -1,5 +1,6 @@
-"""Shared fixtures-as-functions: small graphs, seeded random samplers, and the
-brute-force swap-closure oracle used to pin canonical forms."""
+"""Shared fixtures-as-functions: small graphs, seeded random samplers, the
+brute-force swap-closure oracle used to pin canonical forms, and Chiswell's
+growth series used to count enumerations."""
 
 import itertools
 
@@ -31,9 +32,9 @@ def k3_minus_edge():
     return Graph(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
 
-def random_graph(rng, max_vertices=4):
-    n = rng.randint(2, max_vertices)
-    vertices = ["a", "b", "c", "d"][:n]
+def random_graph(rng, max_vertices=4, min_vertices=2):
+    n = rng.randint(min_vertices, max_vertices)
+    vertices = ["a", "b", "c", "d", "e"][:n]
     edges = [pair for pair in itertools.combinations(vertices, 2)
              if rng.random() < 0.4]
     return Graph(vertices, edges)
@@ -110,3 +111,32 @@ def freely_reduced_strings(graph, max_length):
                 grown.append(string + ((s, e),))
         level = grown
         yield from level
+
+
+def growth_series(graph, max_norm):
+    """Sphere sizes 0..max_norm from Chiswell's spherical growth series
+    1 / sum_k c_k x^k, x = -2t / (1 + t), c_k the number of k-cliques
+    (Chiswell 1994, The growth series of a graph product).  Cliques are
+    counted by brute force over vertex subsets, and every step is a
+    truncated integer power-series product or inverse."""
+    def product(p, q):
+        out = [0] * (max_norm + 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[:max_norm + 1 - i]):
+                out[i + j] += a * b
+        return out
+
+    cliques = [sum(1 for subset in itertools.combinations(graph.vertices, k)
+                   if all(graph.are_adjacent(u, v)
+                          for u, v in itertools.combinations(subset, 2)))
+               for k in range(len(graph.vertices) + 1)]
+    x = [0] + [-2 * (-1) ** i for i in range(max_norm)]  # -2t * sum (-t)^i
+    denominator = [0] * (max_norm + 1)
+    power = [1] + [0] * max_norm
+    for c in cliques:
+        denominator = [d + c * p for d, p in zip(denominator, power)]
+        power = product(power, x)
+    inverse = [1] + [0] * max_norm  # denominator[0] = c_0 = 1
+    for n in range(1, max_norm + 1):
+        inverse[n] = -sum(denominator[j] * inverse[n - j] for j in range(1, n + 1))
+    return inverse

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from raaglcs import Dissection, format_dissection, standard_dissection
@@ -84,9 +86,28 @@ def test_verify_passes(tmp_path, capsys):
     assert lines[-1] == "PASS"
 
 
+def test_search_budget_exit_two(tmp_path, capsys):
+    c4 = graph_file(tmp_path, "vertices: a b c d\nedges: a-b b-c c-d d-a\n")
+    for argv in (["enum"], ["verify"], ["dfun", "--k", "3"]):
+        start = time.perf_counter()
+        assert run(argv + ["--graph", c4, "--max-norm", "30"]) == 2
+        assert time.perf_counter() - start < 1.0  # refused before enumerating
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the ball of norm <= 30 has more than")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_surface_phi(tmp_path, capsys):
     assert run(["surface-phi", "--genus", "2", "a1"]) == 0
     assert capsys.readouterr().out == "x0 x1^-1\n"
+
+
+def test_surface_phi_huge_exponent_exit_two(capsys):
+    assert run(["surface-phi", "--genus", "2", "a1^100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word expands to more than 100000 letters\n"
 
 
 def test_surface_check_standard(capsys):

@@ -1,9 +1,27 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import f2, k3, p3, z2
-from raaglcs import (GroupWord, commutator_witness, depth_function,
+from conftest import (c4, f2, freely_reduced_strings, growth_series, k3,
+                      k3_minus_edge, p3, random_graph, swap_closure_lex_min, z2)
+from raaglcs import (Graph, GroupWord, VerifyReport, commutator_witness, depth_function,
                      enumerate_elements, in_dimension_subgroup, lcs_depth,
                      verify_depth_bound)
+from raaglcs import lab
+
+
+def lex_key(word):
+    index = word.graph.index
+    return (word.norm(), tuple((index(s), e) for s, e in word.syllables))
+
+
+def reference_elements(graph, max_norm):
+    """The ball by brute force: canonicalize every freely reduced string,
+    deduplicate, sort by (norm, lex)."""
+    found = {GroupWord(graph, s).canonical().syllables
+             for s in freely_reduced_strings(graph, max_norm)}
+    found.discard(())
+    return sorted((GroupWord(graph, s) for s in found), key=lex_key)
 
 
 # --- enumeration ---
@@ -19,6 +37,11 @@ def test_enumerate_abelian_norm_two():
 
 def test_enumerate_norm_zero_is_empty():
     assert enumerate_elements(p3(), 0) == []
+
+
+def test_enumerate_vertexless_graph_is_empty_at_once():
+    assert enumerate_elements(Graph([]), 10 ** 9) == []
+    assert lab.ball_size(Graph([]), 10 ** 9, 10) == 1
 
 
 def test_enumerate_rejects_negative_bound():
@@ -45,6 +68,54 @@ def test_enumerate_sorted_dedup_canonical():
     for w in words:
         assert w.syllables == w.canonical().syllables
         assert w.syllables
+
+
+def test_enumerate_counts_match_growth_series():
+    for graph in (f2(), z2(), p3(), c4(), k3_minus_edge()):
+        by_norm = [0] * 7
+        for w in enumerate_elements(graph, 6):
+            by_norm[w.norm()] += 1
+            # a freshly built word, with no cached reduction or canonical form
+            assert w.syllables == GroupWord(graph, w.syllables).canonical().syllables
+        assert by_norm[1:] == growth_series(graph, 6)[1:]
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_enumerate_matches_swap_closure(rng, max_norm):
+    graph = random_graph(rng, max_vertices=5, min_vertices=1)
+    oracle = {swap_closure_lex_min(GroupWord(graph, s))
+              for s in freely_reduced_strings(graph, max_norm)}
+    oracle.discard(())
+    expected = sorted((GroupWord(graph, s) for s in oracle), key=lex_key)
+    words = enumerate_elements(graph, max_norm)
+    assert [w.syllables for w in words] == [w.syllables for w in expected]
+    for w in words:
+        assert w.syllables == GroupWord(graph, w.syllables).canonical().syllables
+
+
+def test_ball_size_matches_growth_series():
+    for graph in (f2(), z2(), p3(), c4(), k3(), k3_minus_edge()):
+        for n in range(8):
+            assert lab.ball_size(graph, n, 10 ** 9) == sum(growth_series(graph, n))
+    assert lab.ball_size(c4(), 6, 10 ** 9) == 11665
+    assert lab.ball_size(c4(), 6, 1000) == 1001  # counting stops past the cap
+
+
+def test_budget_admits_documented_runs():
+    assert lab.ball_size(c4(), 7, lab.MAX_BALL_ELEMENTS) == 40825
+    assert lab.ball_size(f2(), 8, lab.MAX_BALL_ELEMENTS) == 13121
+
+
+def test_budget_rejects_before_generating(monkeypatch):
+    def unreachable(graph, norm):
+        raise AssertionError("a sphere was generated")
+
+    monkeypatch.setattr(lab, "_sphere", unreachable)
+    for search in (enumerate_elements, verify_depth_bound,
+                   lambda graph, n: depth_function(graph, 3, n)):
+        with pytest.raises(ValueError, match=f"more than {lab.MAX_BALL_ELEMENTS} elements"):
+            search(c4(), 30)
 
 
 # --- depth function ---
@@ -83,6 +154,24 @@ def test_depth_function_rejects_complete_graphs():
     for graph in (k3(), z2()):
         with pytest.raises(ValueError, match="nilpotent"):
             depth_function(graph, 2, 3)
+
+
+def test_depth_function_stops_at_first_hit(monkeypatch):
+    ball = [w.syllables for w in enumerate_elements(f2(), 8)]
+    pulled = []
+    sphere = lab._sphere
+
+    def counting(graph, norm):
+        for syllables in sphere(graph, norm):
+            pulled.append(syllables)
+            yield syllables
+
+    monkeypatch.setattr(lab, "_sphere", counting)
+    row = depth_function(f2(), 3, 8)
+    assert row.kind == "exact" and row.norm == 8
+    assert str(row.minimal_witness) == "a^-2 b^-1 a b^2 a b^-1"
+    assert pulled[-1] == row.minimal_witness.syllables
+    assert len(pulled) == ball.index(row.minimal_witness.syllables) + 1 < len(ball)
 
 
 def test_depth_function_rejects_bad_k():
@@ -147,3 +236,17 @@ def test_verify_report_lines():
     assert lines[0] == "norm=1 depth=1 count=4"
     assert lines[-1] == "PASS"
     assert f"checked={report.checked} max_norm=2" in lines
+
+
+def test_verify_lines_match_reference():
+    for graph, max_norm in ((f2(), 6), (p3(), 5), (c4(), 5), (k3_minus_edge(), 5)):
+        cells = {}
+        violations = []
+        elements = reference_elements(graph, max_norm)
+        for w in elements:
+            n, d = w.norm(), lcs_depth(w).depth
+            cells[(n, d)] = cells.get((n, d), 0) + 1
+            if d > n:
+                violations.append((w, n, d))
+        expected = VerifyReport(max_norm, len(elements), cells, violations)
+        assert verify_depth_bound(graph, max_norm).lines() == expected.lines()

@@ -8,6 +8,7 @@ from raaglcs import (Dissection, Graph, check_injectivity_criterion,
                      relator_syllables, standard_dissection,
                      surface_depth_check)
 from raaglcs.dissection_table import STANDARD_INTERSECTIONS
+from raaglcs.words import MAX_WORD_SYLLABLES
 
 
 def tiny_dissection(intersections=(), sequences=None, components=None):
@@ -98,6 +99,16 @@ def test_phi_of_inverse_reverses_and_negates():
 def test_phi_expands_exponents():
     d = standard_dissection(2)
     assert phi("a1^2", d).syllables == (("x0", 1), ("x1", -1)) * 2
+
+
+def test_phi_image_size_bound_is_exact():
+    d = standard_dissection(2)  # phi(a1) has two letters
+    half = MAX_WORD_SYLLABLES // 2
+    assert len(phi([("a1", half)], d).syllables) == MAX_WORD_SYLLABLES
+    with pytest.raises(ValueError, match="more than 100000 letters"):
+        phi([("a1", -(half + 1))], d)
+    with pytest.raises(ValueError, match="letters"):
+        phi("b1^100000000", d)  # refused before a letter is built
 
 
 def test_phi_of_identity():

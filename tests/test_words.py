@@ -195,6 +195,12 @@ def test_to_trace_rejects_nonpositive():
         GroupWord(f2(), [("a", 0)]).to_trace()
 
 
+def test_to_trace_size_bound():
+    assert GroupWord(f2(), [("a", MAX_WORD_SYLLABLES)]).to_trace().length == MAX_WORD_SYLLABLES
+    with pytest.raises(ValueError, match="more than 100000 letters"):
+        GroupWord(f2(), [("a", 1), ("b", MAX_WORD_SYLLABLES)]).to_trace()
+
+
 def test_trace_injective_on_monoid():
     rng = random.Random(17)
     for _ in range(200):
