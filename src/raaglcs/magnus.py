@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .series import TruncatedSeries, check_cap
-from .words import Trace, lex_insertion_point
+from .words import Trace, commuting_suffix_start, lex_insertion_point
+
+# Most series terms one `mu`, `in_dimension_subgroup` or `lcs_depth` call may
+# extend: the sum, over every syllable the kernel multiplies in, of the size
+# of the image so far (across the whole cap search for `lcs_depth`).  The F2
+# left-normed commutator of weight 10 needs about 1.5 million; weight 11
+# needs about 5.8 million, and each weight costs about 4x the one before.
+MAX_KERNEL_TERMS = 2_000_000
 
 
 def _binomials(e, cap):
@@ -64,25 +71,33 @@ def _codes(word):
     return [(index(s), e) for s, e in word.syllables if e]
 
 
-def _image(graph, codes, cap):
-    """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap."""
+def _image(graph, codes, cap, work=0):
+    """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap.
+
+    Returns the image and `work` plus the number of terms extended; raises
+    ValueError before a syllable would take that past MAX_KERNEL_TERMS.
+    """
     masks = graph.masks
     image = {(): 1}
     for s, e in codes:
+        work += len(image)
+        if work > MAX_KERNEL_TERMS:
+            raise ValueError(
+                f"series computation needs more than {MAX_KERNEL_TERMS} term extensions")
         coeffs = _binomials(e, cap)
         mask = masks[s]
         out = image.copy()  # the k = 0 terms
         for t, c in image.items():
             top = min(len(coeffs), cap - len(t))
             if top > 1:
-                pos = lex_insertion_point(t, t, s, mask)
+                pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
                 head, tail = t[:pos], t[pos:]
                 for k in range(1, top):
                     head += (s,)
                     term = head + tail
                     out[term] = out.get(term, 0) + c * coeffs[k]
         image = {t: c for t, c in out.items() if c}
-    return image
+    return image, work
 
 
 def _degree_lex(t):
@@ -94,7 +109,7 @@ def mu(word, cap):
     check_cap(cap)
     graph = word.graph
     vertices = graph.vertices
-    image = _image(graph, _codes(word), cap)
+    image, _ = _image(graph, _codes(word), cap)
     terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): image[t]
              for t in sorted(image, key=_degree_lex)}
     return TruncatedSeries._trusted(graph, cap, terms)
@@ -104,7 +119,7 @@ def in_dimension_subgroup(word, k):
     """True iff the series image of the word is 1 + (terms of degree >= k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _image(word.graph, _codes(word), k) == {(): 1}
+    return _image(word.graph, _codes(word), k)[0] == {(): 1}
 
 
 @dataclass(frozen=True)
@@ -134,13 +149,15 @@ class DepthResult:
         return cls("infinite")
 
 
-def _depth_at_cap(graph, codes, cap):
-    image = _image(graph, codes, cap)
+def _depth_at_cap(graph, codes, cap, work=0):
+    """The depth read off the image below cap, and the kernel work so far."""
+    image, work = _image(graph, codes, cap, work)
     positive = [_degree_lex(t) for t in image if t]
     if not positive:
-        return DepthResult.at_least(cap)
+        return DepthResult.at_least(cap), work
     degree, letters = min(positive)  # the lex-least trace at the minimal degree
-    return DepthResult.exact(degree, Trace(graph, [graph.vertices[a] for a in letters]))
+    witness = Trace(graph, [graph.vertices[a] for a in letters])
+    return DepthResult.exact(degree, witness), work
 
 
 def lcs_depth(word, cap=None):
@@ -151,7 +168,9 @@ def lcs_depth(word, cap=None):
     survives in degree <= norm.  The search raises the cap incrementally, so
     shallow elements (the common case) stay cheap; coefficients below a cap
     do not depend on it, so the answer matches a single full-cap computation.
-    A caller-lowered cap may return an at_least bound instead.
+    A caller-lowered cap may return an at_least bound instead.  A search
+    that would extend more than MAX_KERNEL_TERMS series terms in all raises
+    ValueError.
     """
     reduced = word.reduced()
     if not reduced.syllables:
@@ -160,10 +179,11 @@ def lcs_depth(word, cap=None):
     codes = _codes(reduced)
     if cap is not None:
         check_cap(cap)
-        return _depth_at_cap(graph, codes, cap)
+        return _depth_at_cap(graph, codes, cap)[0]
     limit = reduced.norm() + 1
+    work = 0
     for c in range(2, limit + 1):
-        result = _depth_at_cap(graph, codes, c)
+        result, work = _depth_at_cap(graph, codes, c, work)
         if result.kind == "exact":
             return result
     return DepthResult.at_least(limit)

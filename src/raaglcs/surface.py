@@ -5,19 +5,20 @@ cross, and, for each standard surface generator, the ordered signed crossing
 sequence its loop makes with the curves.  Reading a loop's crossings defines
 a homomorphism into the graph group whose commutation graph has the curves as
 vertices and the crossing pairs as edges; it is well defined exactly when the
-image of the genus relator [a1,b1]...[ag,bg] dies there.
+image of the genus relator [a1,b1]...[ag,bg] dies there.  The standard
+genus-g system's crossing pairs are derived from that condition at every
+genus (`derive_intersections`), not read from a table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .dissection_table import STANDARD_INTERSECTIONS
 from .graph import Graph
 from .magnus import lcs_depth
-from .words import GroupWord, check_word_size, parse_syllables
+from .words import (MAX_WORD_SYLLABLES, GroupWord, check_word_size,
+                    parse_syllables)
 
 
 class Dissection:
@@ -51,9 +52,9 @@ class Dissection:
             if u == v:
                 raise ValueError(f"curve {u!r} recorded as crossing itself")
             pairs.add((u, v) if index[u] < index[v] else (v, u))
-        expected = {f"a{k}" for k in range(1, genus + 1)}
-        expected.update(f"b{k}" for k in range(1, genus + 1))
-        if set(crossing_sequences) != expected:
+        if (len(crossing_sequences) != 2 * genus  # before building 2g names
+                or set(crossing_sequences) != {f"{ab}{k}" for ab in "ab"
+                                               for k in range(1, genus + 1)}):
             raise ValueError(
                 f"crossing sequences must be given for exactly a1..a{genus}, "
                 f"b1..b{genus}")
@@ -160,6 +161,16 @@ def check_relator(dissection):
 
 
 def _standard_data(genus):
+    """Curves and crossing sequences of the standard genus-g system.
+
+    Rejects a genus whose relator image (12 letters per handle) would exceed
+    MAX_WORD_SYLLABLES before building anything.
+    """
+    if not isinstance(genus, int) or genus < 2:
+        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
+    if 12 * genus > MAX_WORD_SYLLABLES:
+        raise ValueError(f"genus {genus} is too large: its relator image would "
+                         f"exceed {MAX_WORD_SYLLABLES} letters")
     curves = tuple(f"x{i}" for i in range(genus + 1))
     curves += tuple(f"y{k}" for k in range(1, genus + 1))
     curves += ("z",)
@@ -170,96 +181,49 @@ def _standard_data(genus):
     return curves, crossing
 
 
-def _free_reduce(letters):
-    out = []
-    for letter in letters:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return out
-
-
 def derive_intersections(genus):
     """Derive the crossing pairs of the standard curve system from the relator.
 
     The relator image must die in the graph group.  In the freely reduced
-    image every curve occurs exactly twice, with opposite signs, so those two
-    occurrences must cancel against each other; whenever exactly one of the
-    two occurrences of another curve lies strictly between them, that stranded
+    image (the relator's image reduced over the edgeless curve graph) every
+    curve occurs exactly twice, with opposite signs, so those two occurrences
+    must cancel against each other; whenever exactly one of the two
+    occurrences of another curve lies strictly between them, that stranded
     occurrence can never be removed first, which forces the two curves to
-    commute.  The forced set is then verified to kill the relator, making it
-    the unique minimal solution (any solution contains it).  Should the
-    verification ever fail, the smallest sufficient superset in (size, lex)
-    order is returned instead.
+    commute.  One sweep finds these pairs: at a curve's second occurrence,
+    every curve opened after its first and still open is stranded.  The
+    forced set is then verified to kill the relator, which makes it the
+    unique minimal solution (any solution contains it); RuntimeError if it
+    does not.
     """
-    if genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus!r}")
     curves, crossing = _standard_data(genus)
     index = {c: i for i, c in enumerate(curves)}
-    letters = []
-    for name, exp in relator_syllables(genus):
-        seq = crossing[name]
-        block = seq if exp > 0 else tuple((c, -s) for c, s in reversed(seq))
-        letters.extend(block)
-    reduced = _free_reduce(letters)
-    positions = {}
-    for pos, (curve, _) in enumerate(reduced):
-        positions.setdefault(curve, []).append(pos)
-
-    def norm_pair(u, v):
-        return (u, v) if index[u] < index[v] else (v, u)
-
+    image = phi(relator_syllables(genus), Dissection(genus, curves, (), crossing))
     forced = set()
-    for curve, occ in positions.items():
-        if len(occ) != 2:
+    opened = []
+    for curve, _ in image.reduced().syllables:
+        if curve not in opened:
+            opened.append(curve)
             continue
-        p, q = occ
-        for other, occ2 in positions.items():
-            if other == curve:
-                continue
-            inside = sum(1 for r in occ2 if p < r < q)
-            if inside % 2 == 1:
-                forced.add(norm_pair(curve, other))
-
-    def dies(pairs):
-        trial = Dissection(genus, curves, pairs, crossing)
-        return check_relator(trial)
-
-    def sorted_pairs(pairs):
-        return tuple(sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])))
-
-    if dies(forced):
-        return sorted_pairs(forced)
-    pool = sorted(
-        (norm_pair(u, v) for u, v in itertools.combinations(positions, 2)
-         if norm_pair(u, v) not in forced),
-        key=lambda p: (index[p[0]], index[p[1]]))
-    for size in range(1, len(pool) + 1):
-        for extra in itertools.combinations(pool, size):
-            candidate = forced | set(extra)
-            if dies(candidate):
-                return sorted_pairs(candidate)
-    raise AssertionError("unreachable: the full pool abelianizes the image")
+        at = opened.index(curve)
+        for other in opened[at + 1:]:
+            forced.add((curve, other) if index[curve] < index[other] else (other, curve))
+        del opened[at]
+    if not check_relator(Dissection(genus, curves, forced, crossing)):
+        raise RuntimeError("the forced crossing pairs do not kill the relator")
+    return tuple(sorted(forced, key=lambda p: (index[p[0]], index[p[1]])))
 
 
 def standard_dissection(genus):
-    """The bundled genus-g curve system x0..xg, y1..yg, z.
+    """The standard genus-g curve system x0..xg, y1..yg, z.
 
     Crossing words are a_k -> x_{k-1} x_k^-1 and b_k -> x_k z y_k x_k^-1;
-    crossing pairs come from the bundled table (derived from the relator
-    constraint; see derive_intersections) and are re-validated here.
+    the crossing pairs are derived from the relator constraint at every
+    genus (see derive_intersections): y_k crosses x_{k-1} and x_k, and z
+    crosses x_0 and x_g.
     """
-    if not isinstance(genus, int) or genus < 2:
-        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
     curves, crossing = _standard_data(genus)
-    pairs = STANDARD_INTERSECTIONS.get(genus)
-    if pairs is None:
-        pairs = derive_intersections(genus)
-    dissection = Dissection(genus, curves, pairs, crossing)
-    if not check_relator(dissection):
-        raise RuntimeError("bundled crossing data fails the relator check")
-    return dissection
+    return Dissection(genus, curves, derive_intersections(genus), crossing)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
 of adjacent commuting syllables, and the lexicographically least arrangement
-is a well-defined representative of that swap class.
+is a well-defined representative of that swap class.  One pass computes it,
+reducing as it goes: each syllable crosses the suffix it commutes with
+(`commuting_suffix_start`), then merges with an equal generator found just
+before that suffix or goes in at its `lex_insertion_point`.  The same two
+scans build every `Trace` and every term of the Magnus kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ class GroupWord:
     `reduced()` or `canonical()` is called.  Instances are immutable.
     """
 
-    __slots__ = ("graph", "syllables", "_reduced", "_canonical")
+    __slots__ = ("graph", "syllables", "_canonical")
 
     def __init__(self, graph, syllables=()):
         checked = []
@@ -29,7 +33,6 @@ class GroupWord:
             checked.append((gen, exp))
         self.graph = graph
         self.syllables = tuple(checked)
-        self._reduced = None
         self._canonical = None
 
     @classmethod
@@ -38,66 +41,51 @@ class GroupWord:
         word = object.__new__(cls)
         word.graph = graph
         word.syllables = syllables
-        word._reduced = word
         word._canonical = word
         return word
 
     def reduced(self):
-        """Equivalent fully reduced word.
-
-        Repeatedly merge two equal-generator syllables whenever every syllable
-        between them commutes with that generator, dropping zero exponents;
-        each merge shortens the word, so this terminates at a fixpoint where
-        equal generators are always separated by a non-commuting one.
-        """
-        if self._reduced is not None:
-            return self._reduced
-        graph = self.graph
-        syls = [(s, e) for s, e in self.syllables if e != 0]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(syls)):
-                gen = syls[i][0]
-                for j in range(i + 1, len(syls)):
-                    other = syls[j][0]
-                    if other == gen:
-                        exp = syls[i][1] + syls[j][1]
-                        head = syls[:i]
-                        if exp:
-                            head.append((gen, exp))
-                        syls = head + syls[i + 1:j] + syls[j + 1:]
-                        changed = True
-                        break
-                    if not graph.are_adjacent(gen, other):
-                        break
-                if changed:
-                    break
-        word = GroupWord(graph, syls)
-        word._reduced = word
-        self._reduced = word
-        return word
+        """Equivalent fully reduced word: the canonical form."""
+        return self.canonical()
 
     def is_fully_reduced(self):
-        return self.syllables == self.reduced().syllables
+        # canonical() reorders, merges and drops zero exponents; only reordering
+        # keeps the syllable count.
+        return len(self.syllables) == len(self.canonical().syllables)
 
     def canonical(self):
         """The lexicographically least fully reduced representative.
 
         Syllables compare by (generator order, exponent) and two syllables
-        commute iff their generators are adjacent; the reduced syllables are
-        appended one at a time with `lex_insertion_point`.
+        commute iff their generators are adjacent.  Each syllable is appended
+        to the canonical form of the prefix before it: it crosses the suffix
+        it commutes with, and if the syllable just before that suffix has the
+        same generator the two merge (and vanish on a zero sum); otherwise it
+        goes in at its `lex_insertion_point`.  Merging changes an exponent or
+        removes a syllable that everything after it commutes with, so the
+        result stays fully reduced and lex-least: one linear scan per syllable.
         """
         if self._canonical is not None:
             return self._canonical
         graph = self.graph
+        index = graph.index
         masks = graph.masks
         keys, gens = [], []
-        for gen, exp in self.reduced().syllables:
-            g = graph.index(gen)
-            pos = lex_insertion_point(keys, gens, (g, exp), masks[g])
-            keys.insert(pos, (g, exp))
-            gens.insert(pos, g)
+        for gen, exp in self.syllables:
+            if not exp:
+                continue
+            g = index(gen)
+            start = commuting_suffix_start(gens, masks[g])
+            if start and gens[start - 1] == g:
+                exp += keys[start - 1][1]
+                if exp:
+                    keys[start - 1] = (g, exp)
+                else:
+                    del keys[start - 1], gens[start - 1]
+            else:
+                pos = lex_insertion_point(keys, (g, exp), start)
+                keys.insert(pos, (g, exp))
+                gens.insert(pos, g)
         vertices = graph.vertices
         word = GroupWord._trusted(graph, tuple((vertices[g], e) for g, e in keys))
         self._canonical = word
@@ -110,11 +98,11 @@ class GroupWord:
         return self.canonical().syllables == other.canonical().syllables
 
     def is_identity(self):
-        return not self.reduced().syllables
+        return not self.canonical().syllables
 
     def norm(self):
         """Geodesic word length: the sum of |e_i| over the fully reduced form."""
-        return sum(abs(e) for _, e in self.reduced().syllables)
+        return sum(abs(e) for _, e in self.canonical().syllables)
 
     def __mul__(self, other):
         if not isinstance(other, GroupWord):
@@ -148,25 +136,34 @@ def commutator(u, v):
     return u * v * u.inverse() * v.inverse()
 
 
-def lex_insertion_point(keys, gens, key, mask):
-    """Position at which `key` goes when appended to the lex-least sequence `keys`.
+def commuting_suffix_start(gens, mask):
+    """Start of the longest suffix of `gens` whose generators all lie in `mask`.
 
-    gens[i] is the generator index of keys[i], and mask is the adjacency
-    bitmask of key's generator; two entries commute iff their generators are
-    adjacent.  By the Anisimov-Knuth characterization (Inhomogeneous sorting,
-    1979; Diekert-Rozenberg, The Book of Traces, 1995) a sequence is the
-    lex-least of its commutation class iff it has no factor b u a with a < b
-    and a commuting with b and with every letter of u.  So the appended key
-    moves left across the maximal suffix it commutes with and stops before
-    the first entry of that suffix that is greater than it: linear time, and
-    the result is again lex-least.
+    gens holds generator indices and mask is the adjacency bitmask of a
+    generator g, so this is where the suffix that g commutes with begins.
     """
-    pos = end = len(keys)
+    pos = len(gens)
     while pos and mask >> gens[pos - 1] & 1:
         pos -= 1
-    while pos < end and keys[pos] < key:
-        pos += 1
     return pos
+
+
+def lex_insertion_point(keys, key, start):
+    """Position at which `key` goes when appended to the lex-least sequence `keys`.
+
+    start is the `commuting_suffix_start` of key's generator in keys; two
+    entries commute iff their generators are adjacent.  By the Anisimov-Knuth
+    characterization (Inhomogeneous sorting, 1979; Diekert-Rozenberg, The
+    Book of Traces, 1995) a sequence is the lex-least of its commutation class
+    iff it has no factor b u a with a < b and a commuting with b and with every
+    letter of u.  So the appended key moves left across the maximal suffix it
+    commutes with and stops before the first entry of that suffix that is
+    greater than it: linear time, and the result is again lex-least.
+    """
+    end = len(keys)
+    while start < end and keys[start] < key:
+        start += 1
+    return start
 
 
 class Trace:
@@ -184,7 +181,8 @@ class Trace:
         codes = []
         for a in letters:
             code = graph.index(a)
-            codes.insert(lex_insertion_point(codes, codes, code, masks[code]), code)
+            start = commuting_suffix_start(codes, masks[code])
+            codes.insert(lex_insertion_point(codes, code, start), code)
         vertices = graph.vertices
         self.graph = graph
         self.letters = tuple(vertices[c] for c in codes)
@@ -220,8 +218,7 @@ class Trace:
         Reducing the unit-exponent word detects exactly the failures: a merge
         happens iff some representative brings two equal letters together.
         """
-        word = GroupWord(self.graph, [(a, 1) for a in self.letters]).reduced()
-        return len(word.syllables) == len(self.letters)
+        return GroupWord(self.graph, [(a, 1) for a in self.letters]).is_fully_reduced()
 
     def __eq__(self, other):
         if not isinstance(other, Trace):

@@ -69,12 +69,14 @@ def swap_closure_lex_min(word):
     return min(seen, key=lambda syls: tuple((idx(s), e) for s, e in syls))
 
 
-def piling_is_trivial(word):
-    """Independent word-problem oracle: the per-generator pile algorithm.
+def piling_norm(word):
+    """Independent geodesic-norm oracle: the per-generator pile algorithm
+    (Crisp-Godelle-Wiest 2009).
 
     Letters drop onto their own pile and a blocker onto every non-commuting
     pile; a letter cancels when it meets its inverse on top of its own pile.
-    The word is trivial iff nothing remains.
+    The letters left on the piles spell a geodesic, so their number is the
+    norm.
     """
     graph = word.graph
     letters = []
@@ -94,7 +96,12 @@ def piling_is_trivial(word):
             for v in graph.vertices:
                 if v != s and not graph.are_adjacent(s, v):
                     piles[v].append(0)
-    return remaining == 0
+    return remaining
+
+
+def piling_is_trivial(word):
+    """The word problem by piling: trivial iff nothing remains on the piles."""
+    return piling_norm(word) == 0
 
 
 def freely_reduced_strings(graph, max_length):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raaglcs import Dissection, format_dissection, standard_dissection
 from raaglcs import cli
@@ -98,6 +102,16 @@ def test_search_budget_exit_two(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+def test_depth_work_bound_exit_two(tmp_path, capsys):
+    word = "a"
+    for _ in range(11):
+        word = f"[{word},b]"  # F2 weight 12: 4096 syllables, far past the term budget
+    assert run(["depth", "--graph", f2_file(tmp_path), word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: series computation needs more than 2000000 term extensions\n"
+
+
 def test_surface_phi(tmp_path, capsys):
     assert run(["surface-phi", "--genus", "2", "a1"]) == 0
     assert capsys.readouterr().out == "x0 x1^-1\n"
@@ -114,6 +128,19 @@ def test_surface_check_standard(capsys):
     assert run(["surface-check", "--genus", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["relator: ok", "injectivity: skipped (no component data)"]
+
+
+def test_huge_genus_exit_two(tmp_path, capsys):
+    dissection = graph_file(tmp_path, "genus: 100000000\ncurves: x\n", "big.txt")
+    for argv in (["--genus", "1000000000"], ["--dissection", dissection]):
+        start = time.perf_counter()
+        assert run(["surface-check"] + argv) == 2
+        assert time.perf_counter() - start < 1.0  # refused before building curves
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not captured.err.startswith("error: internal error")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_surface_check_relator_failure(tmp_path, capsys):
@@ -197,3 +224,67 @@ def test_internal_error_exit_two(tmp_path, capsys, monkeypatch):
     assert run(["nf", "--graph", f2_file(tmp_path), "a"]) == 2
     err = capsys.readouterr().err
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# --- fuzzing: malformed input must exit 2 with one `error:` line ---
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert not lines[0].startswith("error: internal error")
+
+
+def line_files(keywords, tokens):
+    """Arbitrary text, or lines made of known keywords and tokens."""
+    line = st.builds(lambda key, rest: key + " ".join(rest), st.sampled_from(keywords),
+                     st.lists(st.sampled_from(tokens), max_size=6))
+    return st.text(max_size=80) | st.lists(line, max_size=7).map("\n".join)
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@FUZZ
+@given(line_files(["vertices: ", "edges: ", "", "vertex: "],
+                  ["a", "b", "c", "a-b", "b-c", "a-a", "a-", "-", "a-b-c", "é", "a\tb"]))
+def test_fuzz_graph_files(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_graph.txt"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_captured(["nf", "--graph", str(path), "a b"])
+    assert_clean_exit(code, err)
+
+
+@FUZZ
+@given(line_files(["genus: ", "genus: 1", "curves: ", "curves: x y", "intersections: ",
+                   "gen a1: ", "gen b1: ", "gen a2: ", "gen : ", "component: ", ""],
+                  ["1", "2", "0", "-3", "x", "y", "x-y", "x-x", "x-q", "x^-1", "y^2",
+                   "e1:x", "e2:y", "e2:x", "e1:", ":x", "a1"]))
+def test_fuzz_dissection_files(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_dissection.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_captured(["surface-check", "--dissection", str(path)])
+    if code == 1:  # a well-formed dissection that fails a check
+        assert "FAIL" in out and err == ""
+        return
+    assert_clean_exit(code, err)
+
+
+@FUZZ
+@given(st.text(alphabet="abcq ^-+0123[],\t", max_size=40) | st.text(max_size=20))
+def test_fuzz_words(tmp_path_factory, word):
+    if word.startswith("-"):  # argparse reads it as an option
+        return
+    path = tmp_path_factory.getbasetemp() / "fuzz_p3.txt"
+    path.write_text("vertices: a b c\nedges: a-b b-c\n")
+    code, _, err = run_captured(["depth", "--graph", str(path), word])
+    assert_clean_exit(code, err)

@@ -1,10 +1,12 @@
-"""Property tests of the Magnus kernel and the lex-least routine against
-independent oracles: the generic series product, and swap closure by BFS."""
+"""Property tests of the Magnus kernel, the lex-least routine and word
+reduction against independent oracles: the generic series product, swap
+closure by BFS, and piling."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import c4, f2, k3_minus_edge, p3, swap_closure_lex_min
+from conftest import (c4, f2, k3_minus_edge, p3, piling_norm, random_graph,
+                      swap_closure_lex_min)
 from raaglcs import (Graph, GroupWord, Trace, TruncatedSeries, lcs_depth, mu,
                      syllable_factor)
 
@@ -97,3 +99,19 @@ def test_lcs_depth_matches_generic_series(gw):
     degree = series.min_positive_degree()
     witness = next(t for t in series.terms if t.length == degree)
     assert (result.kind, result.depth, result.witness_trace) == ("exact", degree, witness)
+
+
+@FEW
+@given(st.randoms(use_true_random=False), st.data())
+def test_reduction_matches_piling(rng, data):
+    graph = random_graph(rng, max_vertices=5, min_vertices=1)
+    u = data.draw(words(graph, 100, [-2, -1, 1, 2]))  # up to 200 letters
+    v = data.draw(words(graph, 3, [-2, -1, 1, 2]))
+    for word in (u, u * v * u.inverse()):
+        norm = piling_norm(word)
+        assert word.norm() == norm
+        assert word.is_identity() == (norm == 0)
+        canonical = word.canonical()
+        again = GroupWord(graph, canonical.syllables)
+        assert again.canonical().syllables == canonical.syllables
+        assert again.is_fully_reduced()
