@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails (a depth > norm
 violation, a failed relator or injectivity check, a broken transfer bound),
-2 on usage or input errors, and on an unexpected internal error, which is
-reported as one `error: internal error: ...` line.  All output is
-deterministic given the inputs.
+2 on usage or input errors, each reported as one `error: ...` line, and on
+an unexpected internal error, reported as `error: internal error: ...`.
+All output is deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +43,16 @@ def _add_surface_source(parser):
                        help="use the bundled standard genus-G curve system")
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is one `error: ...` line and exit code 2; the subcommand
+    # parsers are built from this class too.
+    def error(self, message):
+        print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+        self.exit(2)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raaglcs",
         description="Lower central series depth in graph groups, with a "
                     "crossing-sequence transfer from surface group words.")
@@ -108,37 +116,32 @@ def _default_max_norm(args, graph):
     return 6 if len(graph.vertices) <= 3 else 5
 
 
-def _surface_source(args):
-    if args.dissection:
-        return load_dissection(args.dissection)
-    return standard_dissection(args.genus)
-
-
 def _dispatch(args):
-    if args.command == "nf":
+    if args.command.startswith("surface-"):
+        dissection = (load_dissection(args.dissection) if args.dissection
+                      else standard_dissection(args.genus))
+    else:
         graph = load_graph(args.graph)
+
+    if args.command == "nf":
         print(parse_word(args.word, graph).canonical())
         return 0
 
     if args.command == "norm":
-        graph = load_graph(args.graph)
         print(parse_word(args.word, graph).norm())
         return 0
 
     if args.command == "eq":
-        graph = load_graph(args.graph)
         w1 = parse_word(args.word1, graph)
         w2 = parse_word(args.word2, graph)
         print("equal" if w1.equals(w2) else "not-equal")
         return 0
 
     if args.command == "magnus":
-        graph = load_graph(args.graph)
         print(mu(parse_word(args.word, graph), args.cap))
         return 0
 
     if args.command == "depth":
-        graph = load_graph(args.graph)
         result = lcs_depth(parse_word(args.word, graph), args.cap)
         if result.kind == "infinite":
             print("identity")
@@ -149,13 +152,11 @@ def _dispatch(args):
         return 0
 
     if args.command == "enum":
-        graph = load_graph(args.graph)
         for word in enumerate_elements(graph, _default_max_norm(args, graph)):
             print(word)
         return 0
 
     if args.command == "dfun":
-        graph = load_graph(args.graph)
         row = depth_function(graph, args.k, _default_max_norm(args, graph))
         if row.kind == "exact":
             print(f"d({row.k}) = {row.norm} (exact) witness={row.minimal_witness}")
@@ -164,19 +165,16 @@ def _dispatch(args):
         return 0
 
     if args.command == "verify":
-        graph = load_graph(args.graph)
         report = verify_depth_bound(graph, _default_max_norm(args, graph))
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1
 
     if args.command == "surface-phi":
-        dissection = _surface_source(args)
         print(phi(args.word, dissection).canonical())
         return 0
 
     if args.command == "surface-check":
-        dissection = _surface_source(args)
         relator_ok = check_relator(dissection)
         print(f"relator: {'ok' if relator_ok else 'FAIL'}")
         code = 0 if relator_ok else 1
@@ -195,7 +193,6 @@ def _dispatch(args):
         return code
 
     if args.command == "surface-depth":
-        dissection = _surface_source(args)
         report = surface_depth_check(args.word, dissection)
         if report.trivial_image:
             print(f"|w|_S={report.surface_length} phi(w)=1")

@@ -23,17 +23,18 @@ and `lcs_depth` builds a single `Trace`, for the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 from .series import TruncatedSeries, check_cap
 from .words import Trace, commuting_suffix_start, lex_insertion_point
 
-# Most series terms one `mu`, `in_dimension_subgroup` or `lcs_depth` call may
-# extend: the sum, over every syllable the kernel multiplies in, of the size
-# of the image so far (across the whole cap search for `lcs_depth`).  The F2
-# left-normed commutator of weight 10 needs about 1.5 million; weight 11
-# needs about 5.8 million, and each weight costs about 4x the one before.
-MAX_KERNEL_TERMS = 2_000_000
+# Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over its
+# whole cap search) may do: one unit per letter written into a series term,
+# plus 32 per term visited, about what a visit costs in time.  The F2
+# left-normed commutator of weight 10 needs about 33 million; weight 11
+# needs about 136 million.
+MAX_KERNEL_WORK = 40_000_000
 
 
 def _binomials(e, cap):
@@ -74,29 +75,35 @@ def _codes(word):
 def _image(graph, codes, cap, work=0):
     """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap.
 
-    Returns the image and `work` plus the number of terms extended; raises
-    ValueError before a syllable would take that past MAX_KERNEL_TERMS.
+    Returns the image and `work` plus the work done; raises ValueError before
+    a term visit or extension would take that past MAX_KERNEL_WORK.
     """
     masks = graph.masks
-    image = {(): 1}
+    budget = MAX_KERNEL_WORK
+    # Past `most` coefficients the empty term alone would exceed the budget.
+    most = min(cap, isqrt(2 * budget) + 2)
+    image = {(): 1}  # the constant term and the terms of degree < cap - 1
+    full = {}  # the terms of degree cap - 1: summed, never visited again
     for s, e in codes:
-        work += len(image)
-        if work > MAX_KERNEL_TERMS:
-            raise ValueError(
-                f"series computation needs more than {MAX_KERNEL_TERMS} term extensions")
-        coeffs = _binomials(e, cap)
+        coeffs = _binomials(e, most)
         mask = masks[s]
         out = image.copy()  # the k = 0 terms
         for t, c in image.items():
-            top = min(len(coeffs), cap - len(t))
-            if top > 1:
-                pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
-                head, tail = t[:pos], t[pos:]
-                for k in range(1, top):
-                    head += (s,)
-                    term = head + tail
-                    out[term] = out.get(term, 0) + c * coeffs[k]
+            n = len(t)
+            top = min(len(coeffs), cap - n)
+            work += 32 + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
+            if work > budget:
+                raise ValueError(f"series computation needs more than {budget} units of work")
+            last = cap - 1 - n  # the k that lands in degree cap - 1
+            pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
+            head, tail = t[:pos], t[pos:]
+            for k in range(1, top):
+                head += (s,)
+                term = head + tail
+                into = full if k == last else out
+                into[term] = into.get(term, 0) + c * coeffs[k]
         image = {t: c for t, c in out.items() if c}
+    image.update((t, c) for t, c in full.items() if c)
     return image, work
 
 
@@ -168,19 +175,19 @@ def lcs_depth(word, cap=None):
     survives in degree <= norm.  The search raises the cap incrementally, so
     shallow elements (the common case) stay cheap; coefficients below a cap
     do not depend on it, so the answer matches a single full-cap computation.
-    A caller-lowered cap may return an at_least bound instead.  A search
-    that would extend more than MAX_KERNEL_TERMS series terms in all raises
-    ValueError.
+    A caller cap above norm + 1 is lowered to it; a smaller one may return an
+    at_least bound instead.  A search that would do more than
+    MAX_KERNEL_WORK units of kernel work in all raises ValueError.
     """
     reduced = word.reduced()
     if not reduced.syllables:
         return DepthResult.infinite()
     graph = word.graph
     codes = _codes(reduced)
+    limit = reduced.norm() + 1
     if cap is not None:
         check_cap(cap)
-        return _depth_at_cap(graph, codes, cap)[0]
-    limit = reduced.norm() + 1
+        return _depth_at_cap(graph, codes, min(cap, limit))[0]
     work = 0
     for c in range(2, limit + 1):
         result, work = _depth_at_cap(graph, codes, c, work)

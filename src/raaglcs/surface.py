@@ -5,9 +5,10 @@ cross, and, for each standard surface generator, the ordered signed crossing
 sequence its loop makes with the curves.  Reading a loop's crossings defines
 a homomorphism into the graph group whose commutation graph has the curves as
 vertices and the crossing pairs as edges; it is well defined exactly when the
-image of the genus relator [a1,b1]...[ag,bg] dies there.  The standard
-genus-g system's crossing pairs are derived from that condition at every
-genus (`derive_intersections`), not read from a table.
+image of the genus relator [a1,b1]...[ag,bg] dies there, so a `Dissection`
+reduces that image once, when it is built, and keeps the verdict.  The
+standard genus-g system's crossing pairs are derived from that condition at
+every genus (`standard_dissection`), not read from a table.
 """
 
 from __future__ import annotations
@@ -21,40 +22,47 @@ from .words import (MAX_WORD_SYLLABLES, GroupWord, check_word_size,
                     parse_syllables)
 
 
+def _handles(genus):
+    """The generator pairs (a1, b1), ..., (ag, bg) of the genus-g surface group."""
+    return [(f"a{k}", f"b{k}") for k in range(1, genus + 1)]
+
+
 class Dissection:
     """Combinatorial curve-system data for a closed genus-g surface.
 
     components, when present, lists the boundary circuits of the complementary
     disks as cyclic (edge id, curve) sequences; they are optional input for
     the injectivity criterion, not derivable from the rest of the data.
+
+    It is checked once, when built: its data, its curve graph (so curve names
+    follow `Graph`'s rules) and the reduced image of the genus relator, which
+    every relator check reads; an image over MAX_WORD_SYLLABLES letters fails.
     """
 
     __slots__ = ("genus", "curves", "intersections", "crossing_sequences",
-                 "components", "_graph")
+                 "components", "_graph", "_relator_image")
 
     def __init__(self, genus, curves, intersections, crossing_sequences,
                  components=None):
         if not isinstance(genus, int) or genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         curves = tuple(curves)
-        index = {}
+        declared = set()
         for c in curves:
-            if c in index:
+            if c in declared:
                 raise ValueError(f"duplicate curve name {c!r}")
-            index[c] = len(index)
-        pairs = set()
+            declared.add(c)
+        intersections = list(intersections)
         for pair in intersections:
             u, v = pair
-            if u not in index:
+            if u not in declared:
                 raise ValueError(f"intersection names undeclared curve {u!r}")
-            if v not in index:
+            if v not in declared:
                 raise ValueError(f"intersection names undeclared curve {v!r}")
             if u == v:
                 raise ValueError(f"curve {u!r} recorded as crossing itself")
-            pairs.add((u, v) if index[u] < index[v] else (v, u))
         if (len(crossing_sequences) != 2 * genus  # before building 2g names
-                or set(crossing_sequences) != {f"{ab}{k}" for ab in "ab"
-                                               for k in range(1, genus + 1)}):
+                or set(crossing_sequences) != {n for h in _handles(genus) for n in h}):
             raise ValueError(
                 f"crossing sequences must be given for exactly a1..a{genus}, "
                 f"b1..b{genus}")
@@ -62,7 +70,7 @@ class Dissection:
         for name, seq in crossing_sequences.items():
             entries = []
             for curve, sign in seq:
-                if curve not in index:
+                if curve not in declared:
                     raise ValueError(
                         f"crossing sequence of {name!r} names undeclared curve {curve!r}")
                 if sign not in (1, -1):
@@ -80,7 +88,7 @@ class Dissection:
                 for edge, curve in circuit:
                     if not edge:
                         raise ValueError("empty edge id in component circuit")
-                    if curve not in index:
+                    if curve not in declared:
                         raise ValueError(
                             f"component circuit names undeclared curve {curve!r}")
                     if label.setdefault(edge, curve) != curve:
@@ -94,21 +102,18 @@ class Dissection:
             checked_components = tuple(circuits)
         self.genus = genus
         self.curves = curves
-        self.intersections = frozenset(pairs)
         self.crossing_sequences = sequences
         self.components = checked_components
-        self._graph = None
+        self._graph = Graph(curves, intersections)
+        self.intersections = self._graph.edges
+        self._relator_image = phi(relator_syllables(genus), self).canonical()
 
     def crosses(self, c1, c2):
         """True iff the two curves are recorded as intersecting."""
         return (c1, c2) in self.intersections or (c2, c1) in self.intersections
 
     def generator_names(self):
-        out = []
-        for k in range(1, self.genus + 1):
-            out.append(f"a{k}")
-            out.append(f"b{k}")
-        return tuple(out)
+        return tuple(n for h in _handles(self.genus) for n in h)
 
     def __repr__(self):
         return (f"<Dissection genus={self.genus} curves={len(self.curves)} "
@@ -117,17 +122,13 @@ class Dissection:
 
 def intersection_graph(dissection):
     """Graph with the curves as vertices and the crossing pairs as edges."""
-    if dissection._graph is None:
-        dissection._graph = Graph(dissection.curves, dissection.intersections)
     return dissection._graph
 
 
 def relator_syllables(genus):
     """Syllables of the genus relator [a1,b1]...[ag,bg]."""
-    out = []
-    for k in range(1, genus + 1):
-        out += [(f"a{k}", 1), (f"b{k}", 1), (f"a{k}", -1), (f"b{k}", -1)]
-    return out
+    return [(n, e) for a, b in _handles(genus)
+            for n, e in ((a, 1), (b, 1), (a, -1), (b, -1))]
 
 
 def phi(word, dissection):
@@ -140,7 +141,6 @@ def phi(word, dissection):
     is built.
     """
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
-    graph = intersection_graph(dissection)
     blocks = []
     for name, exp in syllables:
         seq = dissection.crossing_sequences.get(name)
@@ -152,12 +152,12 @@ def phi(word, dissection):
     letters = []
     for block, count in blocks:
         letters.extend(block * count)
-    return GroupWord(graph, letters)
+    return GroupWord(dissection._graph, letters)
 
 
 def check_relator(dissection):
-    """True iff the image of the genus relator reduces to the identity."""
-    return phi(relator_syllables(dissection.genus), dissection).is_identity()
+    """True iff the genus relator's image, reduced when built, is the identity."""
+    return not dissection._relator_image.syllables
 
 
 def _standard_data(genus):
@@ -175,55 +175,52 @@ def _standard_data(genus):
     curves += tuple(f"y{k}" for k in range(1, genus + 1))
     curves += ("z",)
     crossing = {}
-    for k in range(1, genus + 1):
-        crossing[f"a{k}"] = ((f"x{k - 1}", 1), (f"x{k}", -1))
-        crossing[f"b{k}"] = ((f"x{k}", 1), ("z", 1), (f"y{k}", 1), (f"x{k}", -1))
+    for k, (a, b) in enumerate(_handles(genus), 1):
+        crossing[a] = ((f"x{k - 1}", 1), (f"x{k}", -1))
+        crossing[b] = ((f"x{k}", 1), ("z", 1), (f"y{k}", 1), (f"x{k}", -1))
     return curves, crossing
-
-
-def derive_intersections(genus):
-    """Derive the crossing pairs of the standard curve system from the relator.
-
-    The relator image must die in the graph group.  In the freely reduced
-    image (the relator's image reduced over the edgeless curve graph) every
-    curve occurs exactly twice, with opposite signs, so those two occurrences
-    must cancel against each other; whenever exactly one of the two
-    occurrences of another curve lies strictly between them, that stranded
-    occurrence can never be removed first, which forces the two curves to
-    commute.  One sweep finds these pairs: at a curve's second occurrence,
-    every curve opened after its first and still open is stranded.  The
-    forced set is then verified to kill the relator, which makes it the
-    unique minimal solution (any solution contains it); RuntimeError if it
-    does not.
-    """
-    curves, crossing = _standard_data(genus)
-    index = {c: i for i, c in enumerate(curves)}
-    image = phi(relator_syllables(genus), Dissection(genus, curves, (), crossing))
-    forced = set()
-    opened = []
-    for curve, _ in image.reduced().syllables:
-        if curve not in opened:
-            opened.append(curve)
-            continue
-        at = opened.index(curve)
-        for other in opened[at + 1:]:
-            forced.add((curve, other) if index[curve] < index[other] else (other, curve))
-        del opened[at]
-    if not check_relator(Dissection(genus, curves, forced, crossing)):
-        raise RuntimeError("the forced crossing pairs do not kill the relator")
-    return tuple(sorted(forced, key=lambda p: (index[p[0]], index[p[1]])))
 
 
 def standard_dissection(genus):
     """The standard genus-g curve system x0..xg, y1..yg, z.
 
-    Crossing words are a_k -> x_{k-1} x_k^-1 and b_k -> x_k z y_k x_k^-1;
-    the crossing pairs are derived from the relator constraint at every
-    genus (see derive_intersections): y_k crosses x_{k-1} and x_k, and z
-    crosses x_0 and x_g.
+    Crossing words are a_k -> x_{k-1} x_k^-1 and b_k -> x_k z y_k x_k^-1.
+    The crossing pairs are derived from the relator, whose image must die.
+    In the freely reduced image (that of the edgeless system) every curve
+    occurs twice, with opposite signs, and the two must cancel each other;
+    when exactly one occurrence of another curve lies between them, it can
+    never be removed first, which forces the two curves to commute.  One
+    sweep finds these pairs: at a curve's second occurrence, every curve
+    opened after its first and still open is stranded.  The forced pairs
+    must then kill the relator, which makes them the unique minimal solution
+    (any solution contains them); RuntimeError if they do not.  They come
+    out as y_k crossing x_{k-1} and x_k, and z crossing x_0 and x_g.
     """
     curves, crossing = _standard_data(genus)
-    return Dissection(genus, curves, derive_intersections(genus), crossing)
+    free = Dissection(genus, curves, (), crossing)
+    forced = []
+    opened = []
+    for curve, _ in free._relator_image.syllables:
+        if curve not in opened:
+            opened.append(curve)
+            continue
+        at = opened.index(curve)
+        forced += [(curve, other) for other in opened[at + 1:]]
+        del opened[at]
+    dissection = Dissection(genus, curves, forced, crossing)
+    if not check_relator(dissection):
+        raise RuntimeError("the forced crossing pairs do not kill the relator")
+    return dissection
+
+
+def _pairs_in_curve_order(dissection):
+    index = dissection._graph.index
+    return sorted(dissection.intersections, key=lambda p: (index(p[0]), index(p[1])))
+
+
+def derive_intersections(genus):
+    """The crossing pairs `standard_dissection` derives at genus g, in curve order."""
+    return tuple(_pairs_in_curve_order(standard_dissection(genus)))
 
 
 @dataclass(frozen=True)
@@ -405,13 +402,11 @@ def load_dissection(path):
 
 def format_dissection(dissection):
     """Serialize a dissection in the text format read by parse_dissection."""
-    index = {c: i for i, c in enumerate(dissection.curves)}
     lines = [f"genus: {dissection.genus}",
              f"curves: {' '.join(dissection.curves)}"]
     if dissection.intersections:
-        pairs = sorted(dissection.intersections,
-                       key=lambda p: (index[p[0]], index[p[1]]))
-        lines.append("intersections: " + " ".join(f"{u}-{v}" for u, v in pairs))
+        lines.append("intersections: " + " ".join(
+            f"{u}-{v}" for u, v in _pairs_in_curve_order(dissection)))
     for name in dissection.generator_names():
         seq = " ".join(c if s == 1 else f"{c}^-1"
                        for c, s in dissection.crossing_sequences[name])

@@ -109,7 +109,55 @@ def test_depth_work_bound_exit_two(tmp_path, capsys):
     assert run(["depth", "--graph", f2_file(tmp_path), word]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: series computation needs more than 2000000 term extensions\n"
+    assert captured.err == "error: series computation needs more than 40000000 units of work\n"
+
+
+def test_magnus_large_cap_exit_two(tmp_path, capsys):
+    # One negative exponent at cap K writes about K^2 / 2 letters per term,
+    # and needs K coefficients before the first term is written.
+    path = f2_file(tmp_path)
+    for cap, word in (("1000", "a^-1 b^-1"), ("3000000000", "a^-1")):
+        start = time.perf_counter()
+        assert run(["magnus", "--graph", path, "--cap", cap, word]) == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: series computation needs more than")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_depth_cap_above_norm_is_lowered(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["depth", "--graph", f2_file(tmp_path), "--cap", "1000000", "a^-1 b^-1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "depth=1\n"
+
+
+def edgeless_file(tmp_path, n):
+    return graph_file(tmp_path, "vertices: " + " ".join(f"x{i}" for i in range(n)) + "\n")
+
+
+def test_depth_many_commutators_is_fast(tmp_path, capsys):
+    # 8,000 distinct commutators: at cap 3 the image keeps about 16,000
+    # degree-2 terms, which are summed but never visited again.
+    pairs = [(i, j) for i in range(150) for j in range(i + 1, 150)][:8000]
+    word = " ".join(f"[x{i},x{j}]" for i, j in pairs)
+    start = time.perf_counter()
+    assert run(["depth", "--graph", edgeless_file(tmp_path, 150), word]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == "depth=2\n"
+
+
+def test_magnus_term_visits_exit_two(tmp_path, capsys):
+    # Each syllable visits every term of degree <= 2 built so far: visits,
+    # not letters, make up most of the work charged here.
+    word = " ".join([f"x{i}" for i in range(150)] * 20)
+    start = time.perf_counter()
+    assert run(["magnus", "--graph", edgeless_file(tmp_path, 150), "--cap", "4", word]) == 2
+    assert time.perf_counter() - start < 15.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: series computation needs more than 40000000 units of work\n"
 
 
 def test_surface_phi(tmp_path, capsys):
@@ -141,6 +189,16 @@ def test_huge_genus_exit_two(tmp_path, capsys):
         assert captured.err.startswith("error: ")
         assert not captured.err.startswith("error: internal error")
         assert len(captured.err.splitlines()) == 1
+
+
+def test_surface_phi_refuses_huge_relator_image(tmp_path, capsys):
+    # The relator image a1 b1 a1^-1 b1^-1 has 2 * 50,001 letters from a1 alone.
+    text = "genus: 1\ncurves: x\ngen a1:" + " x" * 50_001 + "\ngen b1:\n"
+    path = graph_file(tmp_path, text, "long.txt")
+    assert run(["surface-phi", "--dissection", path, "b1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word expands to more than 100000 letters\n"
 
 
 def test_surface_check_relator_failure(tmp_path, capsys):
@@ -194,6 +252,16 @@ def test_unknown_generator_exit_two(tmp_path, capsys):
     assert run(["nf", "--graph", f2_file(tmp_path), "q"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_usage_errors_print_one_line(tmp_path, capsys):
+    for argv in (["nf", "--graph", f2_file(tmp_path), "-a"], ["nope"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
 
 
 def test_help_exits_zero(capsys):
@@ -282,8 +350,6 @@ def test_fuzz_dissection_files(tmp_path_factory, text):
 @FUZZ
 @given(st.text(alphabet="abcq ^-+0123[],\t", max_size=40) | st.text(max_size=20))
 def test_fuzz_words(tmp_path_factory, word):
-    if word.startswith("-"):  # argparse reads it as an option
-        return
     path = tmp_path_factory.getbasetemp() / "fuzz_p3.txt"
     path.write_text("vertices: a b c\nedges: a-b b-c\n")
     code, _, err = run_captured(["depth", "--graph", str(path), word])

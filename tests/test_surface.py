@@ -7,6 +7,7 @@ from raaglcs import (Dissection, Graph, check_injectivity_criterion,
                      intersection_graph, lcs_depth, parse_dissection, phi,
                      relator_syllables, standard_dissection,
                      surface_depth_check)
+from raaglcs import surface
 from raaglcs.words import MAX_WORD_SYLLABLES
 
 
@@ -55,6 +56,17 @@ def test_component_validation():
         tiny_dissection(components=[[("e1", "x"), ("e1", "y")]])
     with pytest.raises(ValueError, match="undeclared curve"):
         tiny_dissection(components=[[("e1", "w")]])
+
+
+def test_curve_names_checked_at_construction():
+    with pytest.raises(ValueError, match="invalid vertex name"):
+        Dissection(1, ["x", "x-y"], (), {"a1": (("x", 1),), "b1": ()})
+
+
+def test_huge_relator_image_refused_at_construction():
+    # [a1,b1] maps to 2 * 50,001 letters, past MAX_WORD_SYLLABLES.
+    with pytest.raises(ValueError, match="more than 100000 letters"):
+        Dissection(1, ["x"], (), {"a1": (("x", 1),) * 50_001, "b1": ()})
 
 
 def test_genus_must_be_positive():
@@ -275,6 +287,34 @@ def test_surface_depth_of_relator_is_trivial():
     assert rep.trivial_image
     assert rep.surface_length == 8
     assert rep.bound_holds
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_surface_depth_check_does_no_relator_work(monkeypatch):
+    d = standard_dissection(6)
+    calls = count_calls(monkeypatch, surface, "phi")
+    assert surface_depth_check("a1", d).bound_holds
+    assert len(calls) == 1  # the word's image only
+
+
+def test_standard_dissection_reduces_relator_twice(monkeypatch):
+    phi_calls = count_calls(monkeypatch, surface, "phi")
+    data_calls = count_calls(monkeypatch, surface, "_standard_data")
+    d = standard_dissection(5)
+    assert check_relator(d)
+    # The edgeless system's image gives the forced pairs; the final one checks them.
+    assert [args[0] for args in phi_calls] == [relator_syllables(5)] * 2
+    assert len(data_calls) == 1
 
 
 def test_surface_depth_requires_consistent_relator():
