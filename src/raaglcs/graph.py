@@ -6,6 +6,12 @@ import re
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# Graphs with more vertices are refused before anything is built: the
+# per-vertex masks hold up to n^2 bits in all (about 48 MiB at this bound).
+# It admits the curve graph of the largest standard curve system, genus 8333
+# with 16,668 curves.
+MAX_VERTICES = 20_000
+
 
 class Graph:
     """Finite simple graph with ordered, named vertices.
@@ -22,6 +28,8 @@ class Graph:
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(vertices)
+        if len(vertices) > MAX_VERTICES:
+            raise ValueError(f"graph has {len(vertices)} vertices, more than {MAX_VERTICES}")
         index = {}
         for v in vertices:
             if not isinstance(v, str) or not _NAME_RE.match(v):

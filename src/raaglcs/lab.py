@@ -21,6 +21,25 @@ comes out in lex order with no sort.  Spheres are streamed in increasing
 norm: the depth function stops at its first hit, and the depth <= norm
 sweep never holds the ball.
 
+The language is prefix-closed, so every element is its parent in this tree
+times one syllable, and a walk given a cap carries Magnus images down it:
+each stack entry holds its parent's kernel state (image, top-degree terms,
+work) and extends it by its own syllable with `magnus._extend` when popped.
+An element's carried work is exactly what `magnus._image` charges it from
+scratch, so MAX_KERNEL_WORK still bounds each element.  The depth function
+walks at cap k and the depth <= norm sweep at cap 2, where an element with a
+nonzero degree-1 part has depth 1 and only the others need `lcs_depth`.
+
+The degree-1 part of an image is the element's abelianisation: the
+coefficient of s is the exponent sum of s.  For k >= 2 the depth function
+wants elements of gamma_k, inside gamma_2 = [G, G], the kernel of
+abelianisation, so it skips a subtree whose prefix has sum of |degree-1
+coefficients| above the norm left to spend.  That is exact: a syllable s^e
+moves the sum by at most |e|, the exponents still to come add up to the
+norm left, so no element below such a prefix has zero abelianisation.  The
+elements that remain come out in the same order, so the first hit and its
+witness are those of the full scan.
+
 The ball's size is known before anything is generated, from the spherical
 growth series 1 / sum_k c_k (-2t / (1 + t))^k, c_k the number of k-vertex
 cliques (Chiswell 1994, The growth series of a graph product); every search
@@ -33,7 +52,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .magnus import in_dimension_subgroup, lcs_depth
+from .magnus import _extend, lcs_depth
 from .words import GroupWord, commutator
 
 # Enumerations, sweeps and depth-function scans refuse balls larger than
@@ -89,17 +108,32 @@ def ball_size(graph, max_norm, cap):
     return total
 
 
-def _sphere(graph, norm):
-    """Canonical syllable tuples of norm exactly `norm` (>= 1), in lex order."""
+def _sphere(graph, norm, cap=None, derived=False):
+    """Canonical syllable tuples of norm exactly `norm` (>= 1), in lex order.
+
+    Each comes with its kernel state at `cap` (see the module docstring), or
+    None without a cap.  With `derived` (needs cap >= 2) only the elements of
+    the derived subgroup [G, G] come out: a subtree is skipped when the sum
+    of |degree-1 coefficients| of its prefix exceeds the norm left to spend.
+    """
     masks = graph.masks
     vertices = graph.vertices
     dead = (1 << len(vertices)) - 1
-    stack = [((), 0, norm)]  # (prefix, forbidden, norm left to spend)
+    root = None if cap is None else ({(): 1}, {}, 0)  # the empty word's state
+    # (prefix, forbidden, norm left, generator of the last syllable, parent's
+    # state, sum of |degree-1 coefficients| of the prefix)
+    stack = [((), 0, norm, None, root, 0)]
     while stack:
-        syllables, forbidden, left = stack.pop()
+        syllables, forbidden, left, last, state, ab_norm = stack.pop()
+        if cap and syllables:
+            image, full, work = state  # shared with the siblings: copy `full`
+            state = _extend(masks, image, full.copy(), last, syllables[-1][1], cap, work)
         if not left:
-            yield syllables
+            yield syllables, state
             continue
+        if derived:
+            linear = state[1] if cap == 2 else state[0]  # holds the degree-1 terms
+        moved = 0
         # Children go on the stack in reverse, so they come off ascending.
         exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
         for g in range(len(vertices) - 1, -1, -1):
@@ -107,18 +141,26 @@ def _sphere(graph, norm):
                 continue
             after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
             name = vertices[g]
+            if derived:
+                c = linear.get((g,), 0)
             for e in exponents:
                 rest = left - abs(e)
                 if rest and after == dead:
                     continue
-                stack.append((syllables + ((name, e),), after, rest))
+                if derived:
+                    moved = ab_norm - abs(c) + abs(c + e)
+                    if moved > rest:
+                        continue  # its abelianisation cannot return to 0
+                stack.append((syllables + ((name, e),), after, rest, g, state, moved))
 
 
-def _elements(graph, max_norm):
-    """Stream of the nontrivial elements of norm <= max_norm, (norm, lex) order.
+def _elements(graph, max_norm, cap=None, derived=False):
+    """Stream of (norm, syllables, state) for the nontrivial elements of norm
+    <= max_norm, in (norm, lex) order; `cap` and `derived` as in `_sphere`.
 
     The ball is checked against MAX_BALL_ELEMENTS here, before the first
-    element is made; the words come out canonical, with nothing to re-reduce.
+    element is made; the syllables come out canonical, with nothing to
+    re-reduce.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
@@ -128,9 +170,8 @@ def _elements(graph, max_norm):
                          f"{MAX_BALL_ELEMENTS} elements; lower the norm bound")
     if size == 1:
         return iter(())  # only the identity: max_norm 0, or a graph with no vertices
-    trusted = GroupWord._trusted
-    return (trusted(graph, syllables)
-            for norm in range(1, max_norm + 1) for syllables in _sphere(graph, norm))
+    return ((norm, syllables, state) for norm in range(1, max_norm + 1)
+            for syllables, state in _sphere(graph, norm, cap, derived))
 
 
 def enumerate_elements(graph, max_norm):
@@ -141,7 +182,8 @@ def enumerate_elements(graph, max_norm):
     canonicalized, deduplicated or sorted.  A ball of more than
     MAX_BALL_ELEMENTS elements raises ValueError before any is generated.
     """
-    return list(_elements(graph, max_norm))
+    trusted = GroupWord._trusted
+    return [trusted(graph, syllables) for _, syllables, _ in _elements(graph, max_norm)]
 
 
 @dataclass(frozen=True)
@@ -162,8 +204,10 @@ class DepthFunctionRow:
 def depth_function(graph, k, max_norm):
     """Depth function value at k by exhaustive scan of norms <= max_norm.
 
-    Elements are streamed in (norm, lex) order and the scan stops at the
-    first one in the k-th lower central term.
+    Elements are streamed in (norm, lex) order, each with its image at cap k
+    extended from its parent's, and the scan stops at the first one whose
+    image is 1.  For k >= 2 it skips the subtrees outside [G, G], which is
+    exact (module docstring).
     """
     if graph.is_complete():
         raise ValueError(
@@ -171,9 +215,9 @@ def depth_function(graph, k, max_norm):
             "deep lower central terms are trivial")
     if k < 1:
         raise ValueError("k must be >= 1")
-    for word in _elements(graph, max_norm):
-        if in_dimension_subgroup(word, k):
-            return DepthFunctionRow(k, "exact", word.norm(), word)
+    for norm, syllables, (image, full, _) in _elements(graph, max_norm, k, k >= 2):
+        if len(image) == 1 and not any(full.values()):  # the image is 1
+            return DepthFunctionRow(k, "exact", norm, GroupWord._trusted(graph, syllables))
     return DepthFunctionRow(k, "at_least", max_norm + 1)
 
 
@@ -230,17 +274,22 @@ def verify_depth_bound(graph, max_norm):
     """Check depth <= norm for every nontrivial element of norm <= max_norm.
 
     Tallies the (norm, depth) histogram and collects violations as the
-    elements stream past; complete graphs are allowed (a degenerate run where
-    every depth is 1).
+    elements stream past, each with its image at cap 2 extended from its
+    parent's: a nonzero degree-1 part means depth 1, and only the other
+    elements go through `lcs_depth`.  Complete graphs are allowed (a
+    degenerate run where every depth is 1).
     """
     cells = {}
     violations = []
     checked = 0
-    for word in _elements(graph, max_norm):
-        n = word.norm()
-        d = lcs_depth(word).depth
+    for n, syllables, (_, full, _) in _elements(graph, max_norm, 2):
+        if any(full.values()):
+            d = 1  # a nonzero degree-1 part: outside [G, G]
+        else:
+            word = GroupWord._trusted(graph, syllables)
+            d = lcs_depth(word).depth
+            if d > n:
+                violations.append((word, n, d))
         checked += 1
         cells[(n, d)] = cells.get((n, d), 0) + 1
-        if d > n:
-            violations.append((word, n, d))
     return VerifyReport(max_norm, checked, cells, violations)

@@ -14,26 +14,32 @@ a dict from such tuples to nonzero ints.  Multiplying on the right by
 s^k, and all k copies of s go in at the one place `lex_insertion_point`
 finds for s in t (Anisimov-Knuth insertion: across the commuting suffix,
 before its first greater letter), so the result is lex-least with no
-re-sort.  `Trace`, `TruncatedSeries` and `GroupWord` stay the validated
-types at the boundary: words are validated as they are built, the kernel
-trusts its own canonical tuples, `mu` converts its result once at exit,
-and `lcs_depth` builds a single `Trace`, for the witness.
+re-sort.  That one-syllable step is `_extend`: it maps a word's state to
+the state of the word times s^e with a new image, so `_image` is a loop
+over it and `lab` extends each enumerated element's state from its
+parent's.  The binomials are built one at a time and each is charged its
+size as it is built, so a huge exponent at a large cap is refused before
+its coefficients fill memory.
+
+`Trace`, `TruncatedSeries` and `GroupWord` stay the validated types at the
+boundary: words are validated as they are built, the kernel trusts its own
+canonical tuples, `mu` converts its result once at exit, and `lcs_depth`
+builds a single `Trace`, for the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional
 
 from .series import TruncatedSeries, check_cap
 from .words import Trace, commuting_suffix_start, lex_insertion_point
 
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over its
-# whole cap search) may do: one unit per letter written into a series term,
-# plus 32 per term visited, about what a visit costs in time.  The F2
-# left-normed commutator of weight 10 needs about 33 million; weight 11
-# needs about 136 million.
+# whole cap search) may do: one unit per letter written into a series term
+# and per 64 bits of each binomial coefficient built, plus 32 per term
+# visited, about what a visit costs in time.  The F2 left-normed commutator
+# of weight 10 needs about 33 million; weight 11 needs about 136 million.
 MAX_KERNEL_WORK = 40_000_000
 
 
@@ -72,37 +78,63 @@ def _codes(word):
     return [(index(s), e) for s, e in word.syllables if e]
 
 
+def _over_budget():
+    return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
+
+
+def _extend(masks, image, full, s, e, cap, work):
+    """One kernel step: a word's state times (1 + s)^e.
+
+    A state is `image`, the constant term and the terms of degree < cap - 1,
+    and `full`, the terms of degree cap - 1, which are summed but never
+    visited again, zero sums included.  Returns (image, full, work): a new
+    image, leaving `image` intact, and `full` itself with this step's terms
+    added, so a caller that keeps the old state passes a copy of `full`.
+    Copying it here would make a long word's image quadratic in its number
+    of top-degree terms.  Raises ValueError before a coefficient, a term
+    visit or an extension would take `work` past MAX_KERNEL_WORK.
+    """
+    budget = MAX_KERNEL_WORK
+    coeffs = [1]
+    coeff = 1
+    for k in range(1, cap):
+        coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
+        if not coeff:
+            break  # k > e > 0
+        work += coeff.bit_length() >> 6
+        # The constant term, always visited first, will write s^1 .. s^k.
+        if work + 32 + k * (k + 1) // 2 > budget:
+            raise _over_budget()
+        coeffs.append(coeff)
+    mask = masks[s]
+    out = image.copy()  # the k = 0 terms
+    for t, c in image.items():
+        n = len(t)
+        top = min(len(coeffs), cap - n)
+        work += 32 + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
+        if work > budget:
+            raise _over_budget()
+        last = cap - 1 - n  # the k that lands in degree cap - 1
+        pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
+        head, tail = t[:pos], t[pos:]
+        for k in range(1, top):
+            head += (s,)
+            term = head + tail
+            into = full if k == last else out
+            into[term] = into.get(term, 0) + c * coeffs[k]
+    return {t: c for t, c in out.items() if c}, full, work
+
+
 def _image(graph, codes, cap, work=0):
     """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap.
 
-    Returns the image and `work` plus the work done; raises ValueError before
-    a term visit or extension would take that past MAX_KERNEL_WORK.
+    The product of the syllables' `_extend` steps; returns the image and
+    `work` plus the work done.
     """
     masks = graph.masks
-    budget = MAX_KERNEL_WORK
-    # Past `most` coefficients the empty term alone would exceed the budget.
-    most = min(cap, isqrt(2 * budget) + 2)
-    image = {(): 1}  # the constant term and the terms of degree < cap - 1
-    full = {}  # the terms of degree cap - 1: summed, never visited again
+    image, full = {(): 1}, {}
     for s, e in codes:
-        coeffs = _binomials(e, most)
-        mask = masks[s]
-        out = image.copy()  # the k = 0 terms
-        for t, c in image.items():
-            n = len(t)
-            top = min(len(coeffs), cap - n)
-            work += 32 + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
-            if work > budget:
-                raise ValueError(f"series computation needs more than {budget} units of work")
-            last = cap - 1 - n  # the k that lands in degree cap - 1
-            pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
-            head, tail = t[:pos], t[pos:]
-            for k in range(1, top):
-                head += (s,)
-                term = head + tail
-                into = full if k == last else out
-                into[term] = into.get(term, 0) + c * coeffs[k]
-        image = {t: c for t, c in out.items() if c}
+        image, full, work = _extend(masks, image, full, s, e, cap, work)
     image.update((t, c) for t, c in full.items() if c)
     return image, work
 

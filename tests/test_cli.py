@@ -1,6 +1,7 @@
 import contextlib
 import io
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,35 @@ def test_magnus_large_cap_exit_two(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: series computation needs more than")
         assert len(captured.err.splitlines()) == 1
+
+
+def test_magnus_huge_exponent_binomials_charged_as_built(tmp_path, capsys):
+    # C(e, k) for k < 9000 at e = 10^14 - 1 hold about 180 MiB; each one is
+    # charged as it is built, so the refusal comes before most of them exist.
+    argv = ["magnus", "--graph", f2_file(tmp_path), "--cap", "9000", "a^99999999999999"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: series computation needs more than 40000000 units of work\n"
+    assert peak < 150 * 2 ** 20
+
+
+def test_huge_graph_exit_two(tmp_path, capsys):
+    # A 300,000-vertex path: its adjacency masks would hold about 45 G bits.
+    names = [f"v{i}" for i in range(300_000)]
+    edges = " ".join(f"{u}-{v}" for u, v in zip(names, names[1:]))
+    path = graph_file(tmp_path, f"vertices: {' '.join(names)}\nedges: {edges}\n")
+    start = time.perf_counter()
+    assert run(["nf", "--graph", path, "v0"]) == 2
+    assert time.perf_counter() - start < 1.0  # refused before any mask is built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph has 300000 vertices, more than 20000\n"
 
 
 def test_depth_cap_above_norm_is_lowered(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import c4, k3, p3, random_graph
 from raaglcs import Graph, parse_graph, load_graph
+from raaglcs.graph import MAX_VERTICES
+from raaglcs.words import MAX_WORD_SYLLABLES
 
 
 def test_free_group_graph():
@@ -127,3 +129,13 @@ def test_load_graph(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("vertices: a b c d\nedges: a-b b-c c-d d-a\n")
     assert load_graph(path) == c4()
+
+
+def test_vertex_bound():
+    # The largest standard curve system allowed has 2g + 2 curves, with 12
+    # relator-image letters per genus.
+    assert MAX_VERTICES >= 2 * (MAX_WORD_SYLLABLES // 12) + 2
+    names = [f"x{i}" for i in range(MAX_VERTICES + 1)]
+    assert len(Graph(names[:-1]).vertices) == MAX_VERTICES
+    with pytest.raises(ValueError, match=f"more than {MAX_VERTICES}"):
+        Graph(names)

@@ -7,7 +7,7 @@ from conftest import (c4, f2, freely_reduced_strings, growth_series, k3,
 from raaglcs import (Graph, GroupWord, VerifyReport, commutator_witness, depth_function,
                      enumerate_elements, in_dimension_subgroup, lcs_depth,
                      verify_depth_bound)
-from raaglcs import lab
+from raaglcs import lab, magnus
 
 
 def lex_key(word):
@@ -161,17 +161,24 @@ def test_depth_function_stops_at_first_hit(monkeypatch):
     pulled = []
     sphere = lab._sphere
 
-    def counting(graph, norm):
-        for syllables in sphere(graph, norm):
+    def counting(*args):
+        for syllables, state in sphere(*args):
             pulled.append(syllables)
-            yield syllables
+            yield syllables, state
 
     monkeypatch.setattr(lab, "_sphere", counting)
     row = depth_function(f2(), 3, 8)
     assert row.kind == "exact" and row.norm == 8
     assert str(row.minimal_witness) == "a^-2 b^-1 a b^2 a b^-1"
     assert pulled[-1] == row.minimal_witness.syllables
-    assert len(pulled) == ball.index(row.minimal_witness.syllables) + 1 < len(ball)
+    assert len(pulled) < len(ball)
+
+
+def test_depth_function_decides_elements_outside_derived_subgroup_unseen():
+    # Every element of norm <= 5 outside [G, G] is skipped without its image,
+    # and some of those images at cap 50 would pass MAX_KERNEL_WORK.
+    row = depth_function(f2(), 50, 5)
+    assert (row.kind, row.norm) == ("at_least", 6)
 
 
 def test_depth_function_rejects_bad_k():
@@ -250,3 +257,54 @@ def test_verify_lines_match_reference():
                 violations.append((w, n, d))
         expected = VerifyReport(max_norm, len(elements), cells, violations)
         assert verify_depth_bound(graph, max_norm).lines() == expected.lines()
+
+
+# --- images carried down the normal-form tree ---
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_carried_images_match_from_scratch(rng, k, max_norm):
+    graph = random_graph(rng, max_vertices=5, min_vertices=1)
+    while lab.ball_size(graph, max_norm, 10 ** 9) > 2000:  # keep the brute force small
+        max_norm -= 1
+    elements = enumerate_elements(graph, max_norm)
+
+    # the depth function row against a from-scratch scan
+    if graph.is_complete():
+        with pytest.raises(ValueError, match="nilpotent"):
+            depth_function(graph, k, max_norm)
+    else:
+        hit = next((w for w in elements if in_dimension_subgroup(w, k)), None)
+        row = depth_function(graph, k, max_norm)
+        if hit is None:
+            assert (row.kind, row.norm, row.minimal_witness) == ("at_least", max_norm + 1, None)
+        else:
+            assert (row.kind, row.norm) == ("exact", hit.norm())
+            assert row.minimal_witness.syllables == hit.syllables
+
+    # the depth <= norm sweep against lcs_depth on each element
+    cells = {}
+    violations = []
+    for w in elements:
+        n, d = w.norm(), lcs_depth(w).depth
+        cells[(n, d)] = cells.get((n, d), 0) + 1
+        if d > n:
+            violations.append((w.syllables, n, d))
+    report = verify_depth_bound(graph, max_norm)
+    assert report.checked == len(elements)
+    assert report.cells == cells
+    assert [(w.syllables, n, d) for w, n, d in report.violations] == violations
+
+    # each element's carried state against its image built from scratch, and
+    # the pruned walk against the elements whose degree-1 part vanishes
+    cap = k + 1
+    for norm in range(1, max_norm + 1):
+        derived = []
+        for syllables, (image, full, work) in lab._sphere(graph, norm, cap):
+            codes = [(graph.index(s), e) for s, e in syllables]
+            scratch, scratch_work = magnus._image(graph, codes, cap)
+            assert work == scratch_work
+            assert {**image, **{t: c for t, c in full.items() if c}} == scratch
+            if all(len(t) != 1 for t in scratch):
+                derived.append(syllables)
+        assert [s for s, _ in lab._sphere(graph, norm, cap, True)] == derived

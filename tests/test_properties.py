@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (c4, f2, k3_minus_edge, p3, piling_norm, random_graph,
                       swap_closure_lex_min)
-from raaglcs import (Graph, GroupWord, Trace, TruncatedSeries, lcs_depth, mu,
-                     syllable_factor)
+from raaglcs import (Graph, GroupWord, Trace, TruncatedSeries, commutator,
+                     lcs_depth, mu, syllable_factor)
 
 GRAPHS = [f2(), p3(), c4(), k3_minus_edge(),
           Graph(["a", "b", "c", "d", "e"],
@@ -115,3 +115,25 @@ def test_reduction_matches_piling(rng, data):
         again = GroupWord(graph, canonical.syllables)
         assert again.canonical().syllables == canonical.syllables
         assert again.is_fully_reduced()
+
+
+@st.composite
+def element(draw, graph):
+    """A short word, or a commutator of two, so that depths above 1 occur."""
+    word = draw(words(graph, max_syllables=3, exponents=[-2, -1, 1, 2]))
+    if draw(st.booleans()):
+        other = draw(words(graph, max_syllables=2, exponents=[-1, 1]))
+        word = commutator(word, other)
+    return word
+
+
+@FEW
+@given(st.randoms(use_true_random=False), st.data())
+def test_commutator_depth_is_superadditive(rng, data):
+    # [gamma_i, gamma_j] lies in gamma_(i+j)
+    graph = random_graph(rng, max_vertices=5, min_vertices=1)
+    u, v = data.draw(element(graph)), data.draw(element(graph))
+    uv = commutator(u, v)
+    if uv.is_identity():
+        return
+    assert lcs_depth(uv).depth >= lcs_depth(u).depth + lcs_depth(v).depth
