@@ -90,6 +90,37 @@ class Graph:
         return f"Graph({list(self.vertices)!r}, {sorted(self.edges)!r})"
 
 
+def _keyed_lines(text, once, repeated=()):
+    """(lineno, key, rest) for each nonblank line of a line-based format, in
+    file order, so a caller parsing each as it comes reports the first fault.
+    Each stripped line must start with a key; one in `once` starts one line."""
+    keys = once + repeated
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        key = next((k for k in keys if line.startswith(k)), None)
+        if key is None:
+            raise ValueError(f"line {lineno}: unknown line {raw!r}")
+        if key in once:
+            if key in seen:
+                raise ValueError(f"line {lineno}: duplicate {key.rstrip(':')} line")
+            seen.add(key)
+        yield lineno, key, line[len(key):]
+
+
+def _pairs(body, lineno, what):
+    """The `u-v` tokens of a line body as (u, v) pairs."""
+    pairs = []
+    for token in body.split():
+        ends = token.split("-")
+        if len(ends) != 2:
+            raise ValueError(f"line {lineno}: bad {what} token {token!r}")
+        pairs.append((ends[0], ends[1]))
+    return pairs
+
+
 def parse_graph(text):
     """Parse the line-based graph format.
 
@@ -100,29 +131,15 @@ def parse_graph(text):
     other line is an error.
     """
     vertices = None
-    edges = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("vertices:"):
-            if vertices is not None:
-                raise ValueError(f"line {lineno}: duplicate vertices line")
-            vertices = line[len("vertices:"):].split()
-        elif line.startswith("edges:"):
-            if edges is not None:
-                raise ValueError(f"line {lineno}: duplicate edges line")
-            edges = []
-            for token in line[len("edges:"):].split():
-                ends = token.split("-")
-                if len(ends) != 2:
-                    raise ValueError(f"line {lineno}: bad edge token {token!r}")
-                edges.append((ends[0], ends[1]))
+    edges = ()
+    for lineno, key, body in _keyed_lines(text, ("vertices:", "edges:")):
+        if key == "vertices:":
+            vertices = body.split()
         else:
-            raise ValueError(f"line {lineno}: unknown line {raw!r}")
+            edges = _pairs(body, lineno, "edge")
     if vertices is None:
         raise ValueError("missing vertices line")
-    return Graph(vertices, edges or ())
+    return Graph(vertices, edges)
 
 
 def load_graph(path):

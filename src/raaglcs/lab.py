@@ -215,6 +215,9 @@ def depth_function(graph, k, max_norm):
             "deep lower central terms are trivial")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > max_norm >= 0:
+        # depth <= norm, so d(k) >= k: nothing to walk
+        return DepthFunctionRow(k, "at_least", max_norm + 1)
     for norm, syllables, (image, full, _) in _elements(graph, max_norm, k, k >= 2):
         if len(image) == 1 and not any(full.values()):  # the image is 1
             return DepthFunctionRow(k, "exact", norm, GroupWord._trusted(graph, syllables))

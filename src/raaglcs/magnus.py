@@ -19,7 +19,13 @@ the state of the word times s^e with a new image, so `_image` is a loop
 over it and `lab` extends each enumerated element's state from its
 parent's.  The binomials are built one at a time and each is charged its
 size as it is built, so a huge exponent at a large cap is refused before
-its coefficients fill memory.
+its coefficients fill memory; when a binomial is past one 64-bit word, each
+term visited is charged for the products it will write before it writes them.
+
+Depth is decided by one search, `_first_term`, over caps 2, 3, ..., norm +
+1: a nontrivial element's image has a nonzero square-free term in degree <=
+norm.  `lcs_depth` and `in_dimension_subgroup` both run it; a caller's cap
+or k is a ceiling on it, not a target, and the work is summed over it.
 
 `Trace`, `TruncatedSeries` and `GroupWord` stay the validated types at the
 boundary: words are validated as they are built, the kernel trusts its own
@@ -30,46 +36,27 @@ builds a single `Trace`, for the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .series import TruncatedSeries, check_cap
-from .words import Trace, commuting_suffix_start, lex_insertion_point
+from .words import GroupWord, Trace, commuting_suffix_start, lex_insertion_point
 
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over its
 # whole cap search) may do: one unit per letter written into a series term
-# and per 64 bits of each binomial coefficient built, plus 32 per term
+# and per 64 bits of each binomial coefficient built, (u + 1) v per product
+# of coefficients of u and v extra 64-bit words written, plus 32 per term
 # visited, about what a visit costs in time.  The F2 left-normed commutator
 # of weight 10 needs about 33 million; weight 11 needs about 136 million.
 MAX_KERNEL_WORK = 40_000_000
 
 
-def _binomials(e, cap):
-    """C(e, k) for k < cap, cut at the first zero (k > e > 0).
-
-    For negative e these are the alternating geometric-series coefficients.
-    """
-    coeffs = [1]
-    for k in range(1, cap):
-        coeff = coeffs[-1] * (e - k + 1) // k  # exact: binomials are integers
-        if coeff == 0:
-            break
-        coeffs.append(coeff)
-    return coeffs
-
-
 def syllable_factor(graph, s, e, cap):
-    """(1 + s)^e truncated below cap.
-
-    The degree-k coefficient is the generalized binomial C(e, k), so negative
-    exponents expand by the alternating geometric series.
-    """
+    """(1 + s)^e truncated below cap, `mu` of the word s^e: the degree-k
+    coefficient is the generalized binomial C(e, k)."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    graph.index(s)
-    return TruncatedSeries(graph, cap, [(Trace(graph, (s,) * k), coeff)
-                                        for k, coeff in enumerate(_binomials(e, cap))])
+    return mu(GroupWord(graph, [(s, e)]), cap)
 
 
 def _codes(word):
@@ -97,6 +84,7 @@ def _extend(masks, image, full, s, e, cap, work):
     budget = MAX_KERNEL_WORK
     coeffs = [1]
     coeff = 1
+    start = work
     for k in range(1, cap):
         coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
         if not coeff:
@@ -106,12 +94,18 @@ def _extend(masks, image, full, s, e, cap, work):
         if work + 32 + k * (k + 1) // 2 > budget:
             raise _over_budget()
         coeffs.append(coeff)
+    spans = None  # with a binomial past one 64-bit word: its extra words summed below j
+    if work > start:
+        spans = list(accumulate((b.bit_length() >> 6 for b in coeffs), initial=0))
+    size = len(coeffs)
     mask = masks[s]
     out = image.copy()  # the k = 0 terms
     for t, c in image.items():
         n = len(t)
-        top = min(len(coeffs), cap - n)
+        top = min(size, cap - n)
         work += 32 + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
+        if spans:  # each product c * C(e, k): (u + 1) v units, u and v their extra words
+            work += ((c.bit_length() >> 6) + 1) * spans[top]
         if work > budget:
             raise _over_budget()
         last = cap - 1 - n  # the k that lands in degree cap - 1
@@ -139,10 +133,6 @@ def _image(graph, codes, cap, work=0):
     return image, work
 
 
-def _degree_lex(t):
-    return (len(t), t)
-
-
 def mu(word, cap):
     """Image of a word under generator -> 1 + generator, truncated below cap."""
     check_cap(cap)
@@ -150,15 +140,30 @@ def mu(word, cap):
     vertices = graph.vertices
     image, _ = _image(graph, _codes(word), cap)
     terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): image[t]
-             for t in sorted(image, key=_degree_lex)}
+             for t in sorted(image, key=lambda t: (len(t), t))}
     return TruncatedSeries._trusted(graph, cap, terms)
+
+
+def _first_term(graph, codes, top):
+    """The lex-least term of positive degree in the image at the first cap in
+    2..top that has one, or None.  Coefficients below a cap do not depend on
+    it, so all lower degrees vanished at the cap before: its degree, cap - 1,
+    is the depth."""
+    work = 0
+    for cap in range(2, top + 1):
+        image, work = _image(graph, codes, cap, work)
+        positive = [t for t in image if t]
+        if positive:
+            return min(positive)
+    return None
 
 
 def in_dimension_subgroup(word, k):
     """True iff the series image of the word is 1 + (terms of degree >= k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _image(word.graph, _codes(word), k)[0] == {(): 1}
+    reduced = word.reduced()
+    return _first_term(word.graph, _codes(reduced), min(k, reduced.norm() + 1)) is None
 
 
 @dataclass(frozen=True)
@@ -188,41 +193,25 @@ class DepthResult:
         return cls("infinite")
 
 
-def _depth_at_cap(graph, codes, cap, work=0):
-    """The depth read off the image below cap, and the kernel work so far."""
-    image, work = _image(graph, codes, cap, work)
-    positive = [_degree_lex(t) for t in image if t]
-    if not positive:
-        return DepthResult.at_least(cap), work
-    degree, letters = min(positive)  # the lex-least trace at the minimal degree
-    witness = Trace(graph, [graph.vertices[a] for a in letters])
-    return DepthResult.exact(degree, witness), work
-
-
 def lcs_depth(word, cap=None):
     """Largest k such that the element lies in the k-th lower central term.
 
-    The default cap of norm + 1 always suffices for an exact answer on a
-    nontrivial element, because the leading square-free term of the image
-    survives in degree <= norm.  The search raises the cap incrementally, so
-    shallow elements (the common case) stay cheap; coefficients below a cap
-    do not depend on it, so the answer matches a single full-cap computation.
-    A caller cap above norm + 1 is lowered to it; a smaller one may return an
-    at_least bound instead.  A search that would do more than
-    MAX_KERNEL_WORK units of kernel work in all raises ValueError.
+    The cap search (module docstring) stops at the first cap with a term of
+    positive degree, so shallow elements (the common case) stay cheap; the
+    lex-least such term is the witness.  A caller cap lowers the search's
+    top, and a search that reaches it with no term returns an at_least
+    bound.  A search that would do more than MAX_KERNEL_WORK units of
+    kernel work in all raises ValueError.
     """
     reduced = word.reduced()
     if not reduced.syllables:
         return DepthResult.infinite()
     graph = word.graph
-    codes = _codes(reduced)
-    limit = reduced.norm() + 1
+    top = reduced.norm() + 1
     if cap is not None:
         check_cap(cap)
-        return _depth_at_cap(graph, codes, min(cap, limit))[0]
-    work = 0
-    for c in range(2, limit + 1):
-        result, work = _depth_at_cap(graph, codes, c, work)
-        if result.kind == "exact":
-            return result
-    return DepthResult.at_least(limit)
+        top = min(cap, top)
+    term = _first_term(graph, _codes(reduced), top)
+    if term is None:
+        return DepthResult.at_least(top)
+    return DepthResult.exact(len(term), Trace(graph, [graph.vertices[a] for a in term]))

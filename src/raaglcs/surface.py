@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph
+from .graph import Graph, _keyed_lines, _pairs
 from .magnus import lcs_depth
 from .words import (MAX_WORD_SYLLABLES, GroupWord, check_word_size,
                     parse_syllables)
@@ -332,35 +332,22 @@ def parse_dissection(text):
     """
     genus = None
     curves = None
-    intersections = None
+    intersections = ()
     crossing = {}
     components = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("genus:"):
-            if genus is not None:
-                raise ValueError(f"line {lineno}: duplicate genus line")
+    for lineno, key, body in _keyed_lines(text, ("genus:", "curves:", "intersections:"),
+                                          ("gen ", "component:")):
+        if key == "genus:":
             try:
-                genus = int(line[len("genus:"):].strip())
+                genus = int(body.strip())
             except ValueError:
                 raise ValueError(f"line {lineno}: bad genus value") from None
-        elif line.startswith("curves:"):
-            if curves is not None:
-                raise ValueError(f"line {lineno}: duplicate curves line")
-            curves = line[len("curves:"):].split()
-        elif line.startswith("intersections:"):
-            if intersections is not None:
-                raise ValueError(f"line {lineno}: duplicate intersections line")
-            intersections = []
-            for token in line[len("intersections:"):].split():
-                ends = token.split("-")
-                if len(ends) != 2:
-                    raise ValueError(f"line {lineno}: bad intersection token {token!r}")
-                intersections.append((ends[0], ends[1]))
-        elif line.startswith("gen "):
-            name, sep, body = line[len("gen "):].partition(":")
+        elif key == "curves:":
+            curves = body.split()
+        elif key == "intersections:":
+            intersections = _pairs(body, lineno, "intersection")
+        elif key == "gen ":
+            name, sep, body = body.partition(":")
             name = name.strip()
             if not sep or not name or len(name.split()) != 1:
                 raise ValueError(f"line {lineno}: bad gen line")
@@ -377,21 +364,19 @@ def parse_dissection(text):
                     raise ValueError(
                         f"line {lineno}: crossing sign in {token!r} must be 1 or -1")
             crossing[name] = tuple(entries)
-        elif line.startswith("component:"):
+        else:
             circuit = []
-            for token in line[len("component:"):].split():
+            for token in body.split():
                 parts = token.split(":")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ValueError(f"line {lineno}: bad component token {token!r}")
                 circuit.append((parts[0], parts[1]))
             components.append(tuple(circuit))
-        else:
-            raise ValueError(f"line {lineno}: unknown line {raw!r}")
     if genus is None:
         raise ValueError("missing genus line")
     if curves is None:
         raise ValueError("missing curves line")
-    return Dissection(genus, curves, intersections or (), crossing,
+    return Dissection(genus, curves, intersections, crossing,
                       tuple(components) if components else None)
 
 

@@ -1,10 +1,11 @@
 """Shared fixtures-as-functions: small graphs, seeded random samplers, the
-brute-force swap-closure oracle used to pin canonical forms, and Chiswell's
-growth series used to count enumerations."""
+brute-force swap-closure oracle used to pin canonical forms, Chiswell's
+growth series used to count enumerations, and the one-image reference for
+the cap search in `magnus`."""
 
 import itertools
 
-from raaglcs import Graph, GroupWord
+from raaglcs import Graph, GroupWord, magnus
 
 
 def f2():
@@ -147,3 +148,14 @@ def growth_series(graph, max_norm):
     for n in range(1, max_norm + 1):
         inverse[n] = -sum(denominator[j] * inverse[n - j] for j in range(1, n + 1))
     return inverse
+
+
+def image_at_one_cap(word, cap):
+    """The single-cap reference for `lcs_depth` and `in_dimension_subgroup`:
+    the word's kernel image at this one cap, not reduced first, read as
+    (least positive term as (degree, letter codes) or None, image == 1)."""
+    graph = word.graph
+    codes = [(graph.index(s), e) for s, e in word.syllables if e]
+    image, _ = magnus._image(graph, codes, cap)
+    positive = [(len(t), t) for t in image if t]
+    return min(positive, default=None), image == {(): 1}

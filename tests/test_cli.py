@@ -84,6 +84,15 @@ def test_dfun_lower_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "d(2) = 4 (lower-bound)\n"
 
 
+def test_dfun_k_above_norm_bound_walks_nothing(tmp_path, capsys):
+    # depth <= norm, so d(k) >= k: no element of norm <= 5 needs an image at cap 3000
+    start = time.perf_counter()
+    assert run(["dfun", "--graph", f2_file(tmp_path), "--k", "3000",
+                "--max-norm", "5"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "d(3000) = 6 (lower-bound)\n"
+
+
 def test_verify_passes(tmp_path, capsys):
     assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -143,6 +152,18 @@ def test_magnus_huge_exponent_binomials_charged_as_built(tmp_path, capsys):
     assert peak < 150 * 2 ** 20
 
 
+def test_magnus_huge_coefficient_products_charged(tmp_path, capsys):
+    # Every product of two 4,000-digit binomials is charged before it is
+    # written, so the refusal comes long before printing could fail.
+    e = "9" * 4000
+    start = time.perf_counter()
+    assert run(["magnus", "--graph", f2_file(tmp_path), "--cap", "50", f"a^{e} b^{e}"]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: series computation needs more than 40000000 units of work\n"
+
+
 def test_huge_graph_exit_two(tmp_path, capsys):
     # A 300,000-vertex path: its adjacency masks would hold about 45 G bits.
     names = [f"v{i}" for i in range(300_000)]
@@ -161,6 +182,16 @@ def test_depth_cap_above_norm_is_lowered(tmp_path, capsys):
     assert run(["depth", "--graph", f2_file(tmp_path), "--cap", "1000000", "a^-1 b^-1"]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "depth=1\n"
+
+
+def test_depth_cap_below_norm_is_a_ceiling(tmp_path, capsys):
+    word = "a"
+    for _ in range(7):
+        word = f"[{word},b]"  # F2 weight 8: norm 256, depth 8
+    start = time.perf_counter()
+    assert run(["depth", "--graph", f2_file(tmp_path), "--cap", "40", word]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "depth=8\n"
 
 
 def edgeless_file(tmp_path, n):

@@ -125,6 +125,17 @@ def test_parse_graph_bad_edge_token():
         parse_graph("vertices: a b\nedges: ab\n")
 
 
+def test_parse_graph_reports_first_faulty_line():
+    cases = {"vertices: a b\nedges: ab\nwat\n": "line 2: bad edge token 'ab'",
+             "vertices: a b\n  wat\nedges: ab\n": "line 2: unknown line '  wat'",
+             "vertices: a\nvertices: b\nedges: a-b-c\n": "line 2: duplicate vertices line",
+             "vertices: a\n\nedges: a-b-c\nvertices: b\n": "line 3: bad edge token 'a-b-c'"}
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+
 def test_load_graph(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("vertices: a b c d\nedges: a-b b-c c-d d-a\n")

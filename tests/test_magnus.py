@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import f2, p3, random_graph, random_word, z2
+from conftest import f2, image_at_one_cap, p3, random_graph, random_word, z2
 from raaglcs import (DepthResult, Trace, TruncatedSeries, commutator,
-                     in_dimension_subgroup, lcs_depth, mu, parse_word,
-                     syllable_factor)
+                     commutator_witness, in_dimension_subgroup, lcs_depth, mu,
+                     parse_word, syllable_factor)
 
 
 def series(graph, cap, *terms):
@@ -124,6 +124,13 @@ def test_identity_in_every_term():
         assert in_dimension_subgroup(e, k)
 
 
+def test_k_above_depth_is_a_ceiling():
+    # norm 15, depth 1: one image at cap 40 would pass the work budget
+    w = parse_word("a b a^-1 b^-1 a^3 b^2 a b a b^-1 a^-2", f2())
+    assert not in_dimension_subgroup(w, 40)
+    assert not in_dimension_subgroup(commutator_witness(f2(), 8), 16)  # norm 256, depth 8
+
+
 def test_k_must_be_positive():
     with pytest.raises(ValueError):
         in_dimension_subgroup(parse_word("a", f2()), 0)
@@ -154,6 +161,18 @@ def test_depth_with_lowered_cap():
     assert lcs_depth(w, cap=3).depth == 2
 
 
+def test_cap_above_depth_is_a_ceiling():
+    w8 = commutator_witness(f2(), 8)  # norm 256: one image at cap 40 would pass the budget
+    for cap in (9, 16, 40):
+        result = lcs_depth(w8, cap=cap)
+        assert result.kind == "exact" and result.depth == 8
+    assert lcs_depth(w8, cap=8) == DepthResult.at_least(8)
+
+
+def test_weight_ten_witness_fits_the_budget():
+    assert lcs_depth(commutator_witness(f2(), 10)).depth == 10
+
+
 def test_default_depth_matches_full_cap():
     rng = random.Random(34)
     for _ in range(100):
@@ -163,7 +182,8 @@ def test_default_depth_matches_full_cap():
         if incremental.kind == "infinite":
             assert w.is_identity()
             continue
-        full = lcs_depth(w, cap=w.norm() + 1)
+        (degree, letters), _ = image_at_one_cap(w, w.norm() + 1)
+        full = DepthResult.exact(degree, Trace(g, [g.vertices[a] for a in letters]))
         assert incremental == full
 
 
@@ -175,9 +195,9 @@ def test_exact_depth_means_lower_degrees_vanish():
         result = lcs_depth(w)
         if result.kind != "exact":
             continue
-        assert in_dimension_subgroup(w, result.depth)
+        assert image_at_one_cap(w, result.depth)[1]
         if result.depth < w.norm() + 1:
-            assert not in_dimension_subgroup(w, result.depth + 1)
+            assert not image_at_one_cap(w, result.depth + 1)[1]
 
 
 def test_square_free_leading_term():

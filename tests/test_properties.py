@@ -5,10 +5,11 @@ closure by BFS, and piling."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (c4, f2, k3_minus_edge, p3, piling_norm, random_graph,
-                      swap_closure_lex_min)
-from raaglcs import (Graph, GroupWord, Trace, TruncatedSeries, commutator,
-                     lcs_depth, mu, syllable_factor)
+from conftest import (c4, f2, image_at_one_cap, k3_minus_edge, p3, piling_norm,
+                      random_graph, swap_closure_lex_min)
+from raaglcs import (DepthResult, Graph, GroupWord, Trace, TruncatedSeries,
+                     commutator, in_dimension_subgroup, lcs_depth, mu,
+                     syllable_factor)
 
 GRAPHS = [f2(), p3(), c4(), k3_minus_edge(),
           Graph(["a", "b", "c", "d", "e"],
@@ -137,3 +138,29 @@ def test_commutator_depth_is_superadditive(rng, data):
     if uv.is_identity():
         return
     assert lcs_depth(uv).depth >= lcs_depth(u).depth + lcs_depth(v).depth
+
+
+@FEW
+@given(st.randoms(use_true_random=False), st.data())
+def test_cap_search_matches_one_image(rng, data):
+    # A caller's cap or k is a ceiling on the cap search; the answer is the
+    # one a single image at that cap gives, above norm + 1 too.
+    graph = random_graph(rng, max_vertices=5, min_vertices=1)
+    word = data.draw(words(graph, 3, [-2, -1, 1, 2]))
+    if data.draw(st.booleans()):
+        word = commutator(word, data.draw(words(graph, 2, [-1, 1])))
+    norm = word.norm()
+    for cap in [None, *range(1, norm + 3)]:
+        result = lcs_depth(word, cap)
+        if norm == 0:
+            assert result.kind == "infinite"
+            continue
+        least, _ = image_at_one_cap(word, norm + 1 if cap is None else cap)
+        if least is None:
+            assert result == DepthResult.at_least(cap)
+        else:
+            degree, letters = least
+            witness = Trace(graph, [graph.vertices[a] for a in letters])
+            assert result == DepthResult.exact(degree, witness)
+    for k in range(1, norm + 3):
+        assert in_dimension_subgroup(word, k) == image_at_one_cap(word, k)[1]

@@ -373,3 +373,16 @@ def test_parse_dissection_errors():
         parse_dissection("genus: 1\ncurves: x\ngen a1: x^2\ngen b1:\n")
     with pytest.raises(ValueError, match="bad component token"):
         parse_dissection("genus: 1\ncurves: x\ngen a1:\ngen b1:\ncomponent: e1\n")
+
+
+def test_parse_dissection_reports_first_faulty_line():
+    cases = {"genus: 1\ngenus: x\nintersections: x\n": "line 2: duplicate genus line",
+             "genus: 1\nintersections: x\ngenus: 1\n": "line 2: bad intersection token 'x'",
+             "genus: 1\ncurves: x\ngen a1: x^2\nwat\n": "line 3: crossing sign in 'x^2' must be 1 or -1",
+             "genus: 1\n\nwat\ngen a1: x^2\n": "line 3: unknown line 'wat'",
+             "gen a1:\ngen a1: x\ncomponent: e1\n": "line 2: duplicate gen 'a1'",
+             "component: e1\ngenus: 1\ngenus: 2\n": "line 1: bad component token 'e1'"}
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            parse_dissection(text)
+        assert str(err.value) == message
