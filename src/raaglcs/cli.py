@@ -5,11 +5,16 @@ violation, a failed relator or injectivity check, a broken transfer bound),
 2 on usage or input errors, each reported as one `error: ...` line, and on
 an unexpected internal error, reported as `error: internal error: ...`.
 All output is deterministic given the inputs.
+
+`run` may be called many times in one process: it builds its parser on the
+first call and reuses it, and it reuses the standard curve system of each
+`--genus` it has recently seen; a `--dissection` file is read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .graph import load_graph
@@ -110,6 +115,22 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    # Parsing leaves no state on the parser, so one tree serves every call.
+    return build_parser()
+
+
+# Standard curve systems kept per process; a Dissection is immutable, and
+# building one reduces its relator image twice.
+_GENUS_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_GENUS_MEMO_SIZE)
+def _standard_system(genus):
+    return standard_dissection(genus)
+
+
 def _default_max_norm(args, graph):
     if args.max_norm is not None:
         return args.max_norm
@@ -119,7 +140,7 @@ def _default_max_norm(args, graph):
 def _dispatch(args):
     if args.command.startswith("surface-"):
         dissection = (load_dissection(args.dissection) if args.dissection
-                      else standard_dissection(args.genus))
+                      else _standard_system(args.genus))
     else:
         graph = load_graph(args.graph)
 
@@ -207,9 +228,8 @@ def _dispatch(args):
 
 def run(argv=None):
     """Run one CLI invocation and return its exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
     try:

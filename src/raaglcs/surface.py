@@ -14,6 +14,7 @@ every genus (`standard_dissection`), not read from a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 from .graph import Graph, _keyed_lines, _pairs
@@ -37,6 +38,9 @@ class Dissection:
     It is checked once, when built: its data, its curve graph (so curve names
     follow `Graph`'s rules) and the reduced image of the genus relator, which
     every relator check reads; an image over MAX_WORD_SYLLABLES letters fails.
+    Its attributes are read-only and hold tuples, a frozenset and a read-only
+    mapping of crossing sequences, so that verdict cannot go stale and one
+    system can be shared.
     """
 
     __slots__ = ("genus", "curves", "intersections", "crossing_sequences",
@@ -102,11 +106,21 @@ class Dissection:
             checked_components = tuple(circuits)
         self.genus = genus
         self.curves = curves
-        self.crossing_sequences = sequences
+        self.crossing_sequences = MappingProxyType(sequences)
         self.components = checked_components
         self._graph = Graph(curves, intersections)
         self.intersections = self._graph.edges
         self._relator_image = phi(relator_syllables(genus), self).canonical()
+
+    def __setattr__(self, name, value):
+        # Each slot is set once, in __init__: a later change to the data could
+        # leave the stored relator verdict stale.
+        if hasattr(self, name):
+            raise AttributeError(f"Dissection attribute {name!r} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Dissection attribute {name!r} is read-only")
 
     def crosses(self, c1, c2):
         """True iff the two curves are recorded as intersecting."""

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raaglcs
 from raaglcs import Dissection, format_dissection, standard_dissection
 from raaglcs import cli
 from raaglcs.cli import run
@@ -241,15 +245,18 @@ def test_surface_check_standard(capsys):
 
 def test_huge_genus_exit_two(tmp_path, capsys):
     dissection = graph_file(tmp_path, "genus: 100000000\ncurves: x\n", "big.txt")
+    expected = {
+        "--genus": "error: genus 1000000000 is too large: its relator image would "
+                   "exceed 100000 letters\n",
+        "--dissection": "error: crossing sequences must be given for exactly "
+                        "a1..a100000000, b1..b100000000\n",
+    }
     for argv in (["--genus", "1000000000"], ["--dissection", dissection]):
-        start = time.perf_counter()
-        assert run(["surface-check"] + argv) == 2
-        assert time.perf_counter() - start < 1.0  # refused before building curves
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert not captured.err.startswith("error: internal error")
-        assert len(captured.err.splitlines()) == 1
+        for _ in range(2):  # a refusal is not remembered as an answer
+            start = time.perf_counter()
+            assert run(["surface-check"] + argv) == 2
+            assert time.perf_counter() - start < 1.0  # refused before building curves
+            assert capsys.readouterr() == ("", expected[argv[0]])
 
 
 def test_surface_phi_refuses_huge_relator_image(tmp_path, capsys):
@@ -264,9 +271,12 @@ def test_surface_phi_refuses_huge_relator_image(tmp_path, capsys):
 
 def test_surface_check_relator_failure(tmp_path, capsys):
     d = standard_dissection(2)
+    path = tmp_path / "system.txt"
+    path.write_text(format_dissection(d))
+    assert run(["surface-check", "--dissection", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "relator: ok"
     broken = Dissection(2, d.curves, (), d.crossing_sequences)
-    path = tmp_path / "broken.txt"
-    path.write_text(format_dissection(broken))
+    path.write_text(format_dissection(broken))  # the file is read again on each call
     assert run(["surface-check", "--dissection", str(path)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "relator: FAIL"
 
@@ -353,6 +363,106 @@ def test_internal_error_exit_two(tmp_path, capsys, monkeypatch):
     assert run(["nf", "--graph", f2_file(tmp_path), "a"]) == 2
     err = capsys.readouterr().err
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# --- one process, many calls: the shared parser and the genus memo ---
+
+def test_reused_parser_carries_no_state(tmp_path):
+    f2 = f2_file(tmp_path)
+    dissection = graph_file(tmp_path, "genus: 2\n", "d.txt")
+    assert run_captured(["--help"]) == (0, cli.build_parser().format_help(), "")
+    expected = [
+        (["surface-depth", "--genus", "2", "--dissection", dissection, "a1"],
+         (2, "", "error: argument --dissection: not allowed with argument --genus\n")),
+        (["magnus", "--graph", f2, "[a,b]"],
+         (2, "", "error: the following arguments are required: --cap\n")),
+        (["depth", "--graph", f2, "[[a,b],b]"], (0, "depth=3\n", "")),
+        (["magnus", "--graph", f2, "--cap", "3", "[a,b]"], (0, "1 + 1*a*b - 1*b*a\n", "")),
+        (["surface-depth", "--genus", "2", "[a1,b1]"],
+         (0, "|w|_S=4 |phi(w)|_T=4 depth=2 4*|w|_S>=depth: ok\n", "")),
+    ]
+    for _ in range(2):
+        for argv, result in expected:
+            assert run_captured(argv) == result
+
+
+def test_twenty_runs_build_one_parser_tree(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser()
+    tree = len(built)  # the root parser and one per subcommand
+    assert tree > 1
+    built.clear()
+    cli._shared_parser.cache_clear()
+    f2 = f2_file(tmp_path)
+    for i in range(10):
+        assert run_captured(["norm", "--graph", f2, "a " * (i + 1)]) == (0, f"{i + 1}\n", "")
+        assert run_captured(["norm", "--graph", f2])[0] == 2
+    assert len(built) == tree
+
+
+def test_genus_memo_answers_match_first_run(monkeypatch):
+    builds = []
+    build = cli.standard_dissection
+
+    def counting_build(genus):
+        builds.append(genus)
+        return build(genus)
+
+    monkeypatch.setattr(cli, "standard_dissection", counting_build)
+    cli._standard_system.cache_clear()
+    first = {}
+    for genus in (2, 3, 2, 9, 2):
+        for argv in (["surface-depth", "--genus", str(genus), f"[a1,b{genus}] a2"],
+                     ["surface-phi", "--genus", str(genus), f"b{genus} a1^-2"]):
+            result = run_captured(argv)
+            assert result[0] == 0 and result[2] == ""
+            assert first.setdefault(tuple(argv), result) == result
+    assert first[("surface-phi", "--genus", "3", "b3 a1^-2")][1] == \
+        "z y3 x1 x0^-1 x1 x0^-1\n"
+    assert first[("surface-depth", "--genus", "9", "[a1,b9] a2")][1] == \
+        "|w|_S=5 |phi(w)|_T=10 depth=1 4*|w|_S>=depth: ok\n"
+    assert builds == [2, 3, 9]
+    for genus in range(2, 4 + cli._GENUS_MEMO_SIZE):
+        assert run_captured(["surface-phi", "--genus", str(genus), "a1"]) == \
+            (0, "x0 x1^-1\n", "")
+    assert cli._standard_system.cache_info().currsize == cli._GENUS_MEMO_SIZE
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports raaglcs from where the tests do."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raaglcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_shot_cli_matches_warm_run(tmp_path):
+    f2 = f2_file(tmp_path)
+    queries = [["depth", "--graph", f2, "[[a,b],b]"],
+               ["surface-depth", "--genus", "2", "[a1,b1] a2"],
+               ["depth", "--graph", f2]]
+    for argv in (["surface-phi", "--genus", "2", "b1"], ["eq", "--graph", f2, "a", "b"],
+                 ["nope"]):
+        run_captured(argv)  # warm the parser and the genus memo
+    for argv in queries:
+        assert run_python(["-m", "raaglcs.cli"] + argv, tmp_path) == run_captured(argv)
+    assert run_captured(queries[2])[2] == \
+        "error: the following arguments are required: word\n"
+
+
+def test_import_builds_no_parser_or_curve_system(tmp_path):
+    probe = ("import raaglcs.cli as c; "
+             "print(c._shared_parser.cache_info().currsize, "
+             "c._standard_system.cache_info().currsize)")
+    assert run_python(["-c", probe], tmp_path) == (0, "0 0\n", "")
 
 
 # --- fuzzing: malformed input must exit 2 with one `error:` line ---

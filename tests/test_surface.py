@@ -317,6 +317,25 @@ def test_standard_dissection_reduces_relator_twice(monkeypatch):
     assert len(data_calls) == 1
 
 
+def test_dissection_is_read_only():
+    # The relator verdict is stored when the system is built, so an edit to the
+    # data it was read from must be refused rather than leave it stale.
+    d = standard_dissection(2)
+    with pytest.raises(TypeError):
+        d.crossing_sequences["a1"] = (("x0", 1),)
+    with pytest.raises(TypeError):
+        del d.crossing_sequences["b2"]
+    for name in ("genus", "intersections", "crossing_sequences", "_relator_image"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert d.crossing_sequences["a1"] == (("x0", 1), ("x1", -1))
+    assert check_relator(d)
+    assert format_dissection(Dissection(2, d.curves, d.intersections,
+                                        d.crossing_sequences)) == format_dissection(d)
+
+
 def test_surface_depth_requires_consistent_relator():
     d = standard_dissection(2)
     broken = Dissection(2, d.curves, (), d.crossing_sequences)
