@@ -17,15 +17,34 @@ before its first greater letter), so the result is lex-least with no
 re-sort.  That one-syllable step is `_extend`: it maps a word's state to
 the state of the word times s^e with a new image, so `_image` is a loop
 over it and `lab` extends each enumerated element's state from its
-parent's.  The binomials are built one at a time and each is charged its
-size as it is built, so a huge exponent at a large cap is refused before
-its coefficients fill memory; when a binomial is past one 64-bit word, each
-term visited is charged for the products it will write before it writes them.
+parent's.
 
-Depth is decided by one search, `_first_term`, over caps 2, 3, ..., norm +
-1: a nontrivial element's image has a nonzero square-free term in degree <=
-norm.  `lcs_depth` and `in_dimension_subgroup` both run it; a caller's cap
-or k is a ceiling on it, not a target, and the work is summed over it.
+Depth is decided by one search, `_first_term`, a sweep over the degrees d =
+1, 2, ..., norm: a nontrivial element's image has a nonzero square-free term
+in degree <= norm.  Let L_i be the image of the word's first i syllables and
+L_i^d its degree-d part.  Round d visits each syllable s^e once and computes
+its increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
+
+    e > 0:       D_i^d =  sum over k = 1 .. min(e, d) of C(e, k) L_i^(d-k) s^k
+    e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
+
+the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
+layers, with L^0 = 1 read as the constant term, never copied.  Each round
+rebuilds the running layers L_i^j, d - max|e| <= j < d, by adding up the
+increments stored for those degrees as i advances, and frees an increment
+once the last round that reads it has; a long word holds increments, never
+a whole layer per syllable.  The sweep stops at the first d where the final
+L^d, the sum of the round's increments, is nonzero: d is the depth and its
+lex-least term the witness.  Each degree is computed once.  `lcs_depth` and
+`in_dimension_subgroup` both run the sweep; a caller's cap or k is a ceiling
+on it, not a target, and the work is summed over its rounds.
+
+`_extend` and the sweep charge work by one rule (see MAX_KERNEL_WORK) and
+build binomials with one routine, `_grow_binomials`, which charges each
+coefficient as it is built, so a huge exponent at a large cap is refused
+before its coefficients fill memory; when a binomial is past one 64-bit
+word, each term visited is charged for the products it will write before it
+writes them.  The sweep also charges each increment term it stores.
 
 `Trace`, `TruncatedSeries` and `GroupWord` stay the validated types at the
 boundary: words are validated as they are built, the kernel trusts its own
@@ -42,13 +61,16 @@ from typing import Optional
 from .series import TruncatedSeries, check_cap
 from .words import GroupWord, Trace, commuting_suffix_start, lex_insertion_point
 
-# Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over its
-# whole cap search) may do: one unit per letter written into a series term
-# and per 64 bits of each binomial coefficient built, (u + 1) v per product
-# of coefficients of u and v extra 64-bit words written, plus 32 per term
-# visited, about what a visit costs in time.  The F2 left-normed commutator
-# of weight 10 needs about 33 million; weight 11 needs about 136 million.
+# Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over all
+# the rounds of its degree sweep) may do: one unit per letter written into a
+# series term and per 64 bits of each binomial coefficient built, (u + 1) v
+# per product of coefficients of u and v extra 64-bit words written, plus 32
+# per term visited, about what a visit costs in time, and 32 per increment
+# term the sweep stores, so the budget bounds what the sweep holds too.  The
+# F2 left-normed commutator of weight 10 needs about 27.5 million; weight 11
+# needs about 110 million, and is refused at about 60 MiB peak RSS.
 MAX_KERNEL_WORK = 40_000_000
+_VISIT = 32  # units per term visited or stored
 
 
 def syllable_factor(graph, s, e, cap):
@@ -69,6 +91,24 @@ def _over_budget():
     return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
 
 
+def _grow_binomials(coeffs, e, top, work):
+    """Appends C(e, k) to coeffs = [C(e, 0), .., C(e, k - 1)] for k < top,
+    stopping at the first zero (k > e > 0).  Each is charged one unit per 64
+    bits past the first as it is built, and the budget is checked against it
+    plus the visit and letters s^1 .. s^k of the constant term's extensions,
+    before it is kept.  Returns `work` plus the charges."""
+    coeff = coeffs[-1]
+    for k in range(len(coeffs), top):
+        coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
+        if not coeff:
+            break
+        work += coeff.bit_length() >> 6
+        if work + _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
+            raise _over_budget()
+        coeffs.append(coeff)
+    return work
+
+
 def _extend(masks, image, full, s, e, cap, work):
     """One kernel step: a word's state times (1 + s)^e.
 
@@ -83,17 +123,8 @@ def _extend(masks, image, full, s, e, cap, work):
     """
     budget = MAX_KERNEL_WORK
     coeffs = [1]
-    coeff = 1
     start = work
-    for k in range(1, cap):
-        coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
-        if not coeff:
-            break  # k > e > 0
-        work += coeff.bit_length() >> 6
-        # The constant term, always visited first, will write s^1 .. s^k.
-        if work + 32 + k * (k + 1) // 2 > budget:
-            raise _over_budget()
-        coeffs.append(coeff)
+    work = _grow_binomials(coeffs, e, cap, work)
     spans = None  # with a binomial past one 64-bit word: its extra words summed below j
     if work > start:
         spans = list(accumulate((b.bit_length() >> 6 for b in coeffs), initial=0))
@@ -103,7 +134,7 @@ def _extend(masks, image, full, s, e, cap, work):
     for t, c in image.items():
         n = len(t)
         top = min(size, cap - n)
-        work += 32 + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
+        work += _VISIT + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
         if spans:  # each product c * C(e, k): (u + 1) v units, u and v their extra words
             work += ((c.bit_length() >> 6) + 1) * spans[top]
         if work > budget:
@@ -145,16 +176,84 @@ def mu(word, cap):
 
 
 def _first_term(graph, codes, top):
-    """The lex-least term of positive degree in the image at the first cap in
-    2..top that has one, or None.  Coefficients below a cap do not depend on
-    it, so all lower degrees vanished at the cap before: its degree, cap - 1,
-    is the depth."""
+    """The lex-least term of the image's least positive degree, or None if
+    the degrees 1 .. top - 1 all vanish: the degree sweep of the module
+    docstring, one round per degree.  Raises ValueError before the work
+    summed over its rounds would pass MAX_KERNEL_WORK.
+    """
+    if not codes:
+        return None
+    budget = MAX_KERNEL_WORK
+    masks = graph.masks
+    width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
+    rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
+    steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
     work = 0
-    for cap in range(2, top + 1):
-        image, work = _image(graph, codes, cap, work)
-        positive = [t for t in image if t]
+    for d in range(1, top):
+        for n, row in rows.items():
+            if len(row) <= min(n, d):
+                work = _grow_binomials(row, n, d + 1, work)
+        last = d - width  # no later round reads degree `last`
+        layers = {j: {} for j in range(max(last, 1), d)}  # L_i^j as i advances
+
+        def advance(i):
+            # L_i -> L_(i + 1) in every layer this round reads
+            for j, layer in layers.items():
+                increments = steps[j]
+                for t, c in increments[i].items():
+                    c += layer.get(t, 0)
+                    if c:
+                        layer[t] = c
+                    else:
+                        del layer[t]
+                if j == last:
+                    increments[i] = None
+
+        stored, total = [], {}
+        for i, (s, e) in enumerate(codes):
+            if e < 0:  # that recurrence reads L_(i + 1)
+                advance(i)
+            n = abs(e)
+            row = rows[n]
+            mask = masks[s]
+            delta = {}
+            for k in range(1, min(n, d) + 1):
+                b = row[k] if e > 0 else -row[k]
+                if k == d:  # s^d from the constant term
+                    work += _VISIT + d
+                    term = (s,) * d
+                    delta[term] = delta.get(term, 0) + b
+                    continue
+                layer = layers[d - k]
+                work += len(layer) * (_VISIT + d)  # a visit and d letters per term
+                v = b.bit_length() >> 6
+                if v:  # each product c * b: (u + 1) v units, u the extra words of c
+                    work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
+                if work > budget:
+                    raise _over_budget()
+                ks = (s,) * k
+                for t, c in layer.items():
+                    if mask >> t[-1] & 1:
+                        pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
+                        term = t[:pos] + ks + t[pos:]
+                    else:  # s commutes with no suffix of t
+                        term = t + ks
+                    delta[term] = delta.get(term, 0) + c * b
+            if e > 0:
+                advance(i)
+            if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
+                delta = {t: c for t, c in delta.items() if c}
+            work += len(delta) * _VISIT  # the terms stored
+            if work > budget:
+                raise _over_budget()
+            stored.append(delta)
+            for t, c in delta.items():
+                total[t] = total.get(t, 0) + c
+        positive = [t for t, c in total.items() if c]
         if positive:
             return min(positive)
+        steps.pop(last, None)
+        steps[d] = stored
     return None
 
 
@@ -196,10 +295,10 @@ class DepthResult:
 def lcs_depth(word, cap=None):
     """Largest k such that the element lies in the k-th lower central term.
 
-    The cap search (module docstring) stops at the first cap with a term of
-    positive degree, so shallow elements (the common case) stay cheap; the
-    lex-least such term is the witness.  A caller cap lowers the search's
-    top, and a search that reaches it with no term returns an at_least
+    The degree sweep (module docstring) stops at the first degree with a
+    nonzero term, so shallow elements (the common case) stay cheap; the
+    lex-least such term is the witness.  A caller cap lowers the sweep's
+    top, and a sweep that reaches it with no term returns an at_least
     bound.  A search that would do more than MAX_KERNEL_WORK units of
     kernel work in all raises ValueError.
     """

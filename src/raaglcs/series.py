@@ -7,7 +7,17 @@ integers.  All arithmetic is exact (unbounded ints).
 
 from __future__ import annotations
 
+import sys
+
 from .words import Trace
+
+
+def _digits(n):
+    try:
+        return str(n)
+    except ValueError:  # int -> str is quadratic, so Python bounds the digits it prints
+        raise ValueError(f"cannot print a coefficient of more than "
+                         f"{sys.get_int_max_str_digits()} digits (the integer print limit)") from None
 
 
 def check_cap(cap):
@@ -133,7 +143,7 @@ class TruncatedSeries:
             return "0"
         parts = []
         for trace, coeff in self.terms.items():
-            magnitude = abs(coeff)
+            magnitude = _digits(abs(coeff))
             body = str(magnitude) if trace.length == 0 else f"{magnitude}*{'*'.join(trace.letters)}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")

@@ -1,11 +1,19 @@
 """Shared fixtures-as-functions: small graphs, seeded random samplers, the
 brute-force swap-closure oracle used to pin canonical forms, Chiswell's
-growth series used to count enumerations, and the one-image reference for
-the cap search in `magnus`."""
+growth series used to count enumerations, the one-image reference for the
+depth sweep in `magnus`, and the Hypothesis profiles."""
 
 import itertools
+import os
+
+from hypothesis import settings
 
 from raaglcs import Graph, GroupWord, magnus
+
+# CI runs with HYPOTHESIS_PROFILE=ci, so a failing property prints the blob
+# that replays it with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def f2():

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import random
+import resource
 import subprocess
 import sys
 import time
@@ -168,6 +170,16 @@ def test_magnus_huge_coefficient_products_charged(tmp_path, capsys):
     assert captured.err == "error: series computation needs more than 40000000 units of work\n"
 
 
+def test_magnus_coefficient_past_print_limit_exit_two(tmp_path, capsys):
+    # C(E, 2) has 4,400 digits; Python prints no int of more than 4,300.
+    e = "9" * 2200
+    assert run(["magnus", "--graph", f2_file(tmp_path), "--cap", "3", f"a^{e}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: cannot print a coefficient of more than 4300 digits (the integer print limit)\n"
+
+
 def test_huge_graph_exit_two(tmp_path, capsys):
     # A 300,000-vertex path: its adjacency masks would hold about 45 G bits.
     names = [f"v{i}" for i in range(300_000)]
@@ -211,6 +223,18 @@ def test_depth_many_commutators_is_fast(tmp_path, capsys):
     assert run(["depth", "--graph", edgeless_file(tmp_path, 150), word]) == 0
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr().out == "depth=2\n"
+
+
+def test_depth_many_triple_commutators_is_fast(tmp_path, capsys):
+    # 20,000 syllables whose degree-3 layer grows along the word: the depth
+    # sweep holds each syllable's increment, never its whole running layer.
+    rng = random.Random(9)
+    triples = [rng.sample(range(150), 3) for _ in range(2000)]
+    word = " ".join(f"[[x{i},x{j}],x{k}]" for i, j, k in triples)
+    start = time.perf_counter()
+    assert run(["depth", "--graph", edgeless_file(tmp_path, 150), word]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == "depth=3\n"
 
 
 def test_magnus_term_visits_exit_two(tmp_path, capsys):
@@ -435,13 +459,30 @@ def test_genus_memo_answers_match_first_run(monkeypatch):
     assert cli._standard_system.cache_info().currsize == cli._GENUS_MEMO_SIZE
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, preexec_fn=None):
     """Run a fresh interpreter that imports raaglcs from where the tests do."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(raaglcs.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable] + args, cwd=cwd, env=env, preexec_fn=preexec_fn,
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_depth_refusal_fits_an_address_space_limit(tmp_path):
+    # F2 weight 11: the depth sweep charges the increments it stores to the
+    # work budget, so it is refused at about 64 MiB of address space; without
+    # that charge it would reach about 100 MiB first.
+    word = "a"
+    for _ in range(10):
+        word = f"[{word},b]"
+    limit = 96 * 2 ** 20
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["-m", "raaglcs.cli", "depth", "--graph", f2_file(tmp_path), word]
+    assert run_python(argv, tmp_path, cap_address_space) == \
+        (2, "", "error: series computation needs more than 40000000 units of work\n")
 
 
 def test_one_shot_cli_matches_warm_run(tmp_path):

@@ -143,7 +143,7 @@ def test_commutator_depth_is_superadditive(rng, data):
 @FEW
 @given(st.randoms(use_true_random=False), st.data())
 def test_cap_search_matches_one_image(rng, data):
-    # A caller's cap or k is a ceiling on the cap search; the answer is the
+    # A caller's cap or k is a ceiling on the depth search; the answer is the
     # one a single image at that cap gives, above norm + 1 too.
     graph = random_graph(rng, max_vertices=5, min_vertices=1)
     word = data.draw(words(graph, 3, [-2, -1, 1, 2]))
@@ -164,3 +164,43 @@ def test_cap_search_matches_one_image(rng, data):
             assert result == DepthResult.exact(degree, witness)
     for k in range(1, norm + 3):
         assert in_dimension_subgroup(word, k) == image_at_one_cap(word, k)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_degree_sweep_matches_one_image(rng, data):
+    # A syllable s^e reads |e| lower layers, from the image after it when
+    # e < 0; nested commutators reach the degrees where a window of the
+    # wrong width, or a wrong sign in that recurrence, would show.  Words
+    # have up to 8 syllables, exponents in +-1 .. +-m for one m <= 5, and at
+    # most one exponent of 20 to 31 digits.
+    graph = random_graph(rng, max_vertices=4)
+    m = data.draw(st.integers(1, 5))
+    piece = words(graph, 8, [e for e in range(-m, m + 1) if e]).filter(lambda w: w.syllables)
+    word = data.draw(piece)
+    if data.draw(st.booleans()):
+        syllables = list(word.syllables)
+        i = data.draw(st.integers(0, len(syllables) - 1))
+        big = data.draw(st.integers(10 ** 19, 10 ** 31 - 1)) * data.draw(st.sampled_from([-1, 1]))
+        syllables[i] = (syllables[i][0], big)
+        word = GroupWord(graph, syllables)
+    for _ in range(data.draw(st.integers(0, 2))):
+        word = commutator(word, data.draw(piece))
+    default = lcs_depth(word)
+    if default.kind == "infinite":
+        assert word.is_identity()
+        top = 3
+    else:
+        top = default.depth + 2  # every cap above the depth answers as this one
+    for cap in range(1, top + 1):
+        least, is_one = image_at_one_cap(word, cap)
+        result = lcs_depth(word, cap)
+        if default.kind == "infinite":
+            assert result == default and is_one
+        elif least is None:
+            assert result == DepthResult.at_least(cap)
+        else:
+            degree, letters = least
+            witness = Trace(graph, [graph.vertices[a] for a in letters])
+            assert result == DepthResult.exact(degree, witness) == default
+        assert in_dimension_subgroup(word, cap) == is_one
