@@ -23,7 +23,7 @@ from .magnus import lcs_depth, mu
 from .surface import (check_injectivity_criterion, check_relator,
                       load_dissection, phi, standard_dissection,
                       surface_depth_check)
-from .words import parse_word
+from .words import _digits, parse_word
 
 
 def _positive(text):
@@ -149,7 +149,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "norm":
-        print(parse_word(args.word, graph).norm())
+        print(_digits(parse_word(args.word, graph).norm(), "a norm"))
         return 0
 
     if args.command == "eq":

@@ -21,24 +21,19 @@ comes out in lex order with no sort.  Spheres are streamed in increasing
 norm: the depth function stops at its first hit, and the depth <= norm
 sweep never holds the ball.
 
-The language is prefix-closed, so every element is its parent in this tree
-times one syllable, and a walk given a cap carries Magnus images down it:
-each stack entry holds its parent's kernel state (image, top-degree terms,
-work) and extends it by its own syllable with `magnus._extend` when popped.
-An element's carried work is exactly what `magnus._image` charges it from
-scratch, so MAX_KERNEL_WORK still bounds each element.  The depth function
-walks at cap k and the depth <= norm sweep at cap 2, where an element with a
-nonzero degree-1 part has depth 1 and only the others need `lcs_depth`.
-
-The degree-1 part of an image is the element's abelianisation: the
-coefficient of s is the exponent sum of s.  For k >= 2 the depth function
-wants elements of gamma_k, inside gamma_2 = [G, G], the kernel of
-abelianisation, so it skips a subtree whose prefix has sum of |degree-1
-coefficients| above the norm left to spend.  That is exact: a syllable s^e
-moves the sum by at most |e|, the exponents still to come add up to the
-norm left, so no element below such a prefix has zero abelianisation.  The
+Each stack entry also carries its prefix's exponent sum per generator and
+ab_norm, the sum of their absolute values; an element has a nonzero ab_norm
+exactly when it lies outside [G, G] = gamma_2, the kernel of
+abelianisation, so the depth <= norm sweep gives it depth 1 at once and
+only the other elements need `lcs_depth`.  For k >= 2 the depth function
+wants elements of gamma_k, inside gamma_2, so it skips a subtree whose
+prefix has ab_norm above the norm left to spend.  That is exact: a
+syllable s^e moves ab_norm by at most |e|, the exponents still to come add
+up to the norm left, so no element below such a prefix has ab_norm 0.  The
 elements that remain come out in the same order, so the first hit and its
-witness are those of the full scan.
+witness are those of the full scan.  Both searches ask `magnus` only its
+public questions, `lcs_depth` and `in_dimension_subgroup`, of the elements
+the walk yields.
 
 The ball's size is known before anything is generated, from the spherical
 growth series 1 / sum_k c_k (-2t / (1 + t))^k, c_k the number of k-vertex
@@ -52,7 +47,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .magnus import _extend, lcs_depth
+from .magnus import in_dimension_subgroup, lcs_depth
 from .words import GroupWord, commutator
 
 # Enumerations, sweeps and depth-function scans refuse balls larger than
@@ -108,32 +103,26 @@ def ball_size(graph, max_norm, cap):
     return total
 
 
-def _sphere(graph, norm, cap=None, derived=False):
-    """Canonical syllable tuples of norm exactly `norm` (>= 1), in lex order.
-
-    Each comes with its kernel state at `cap` (see the module docstring), or
-    None without a cap.  With `derived` (needs cap >= 2) only the elements of
-    the derived subgroup [G, G] come out: a subtree is skipped when the sum
-    of |degree-1 coefficients| of its prefix exceeds the norm left to spend.
+def _sphere(graph, norm, derived=False):
+    """(syllables, ab_norm) for the canonical syllable tuples of norm exactly
+    `norm` (>= 1), in lex order; ab_norm is the sum of |exponent sum| over
+    the generators (see the module docstring).  With `derived` only the
+    elements of [G, G], those with ab_norm 0, come out: a subtree is skipped
+    when its prefix's ab_norm exceeds the norm left to spend.
     """
     masks = graph.masks
     vertices = graph.vertices
     dead = (1 << len(vertices)) - 1
-    root = None if cap is None else ({(): 1}, {}, 0)  # the empty word's state
-    # (prefix, forbidden, norm left, generator of the last syllable, parent's
-    # state, sum of |degree-1 coefficients| of the prefix)
-    stack = [((), 0, norm, None, root, 0)]
+    # (prefix, forbidden, norm left, generator of the last syllable, the
+    # parent's exponent sums {generator index: sum}, the prefix's ab_norm)
+    stack = [((), 0, norm, None, {}, 0)]
     while stack:
-        syllables, forbidden, left, last, state, ab_norm = stack.pop()
-        if cap and syllables:
-            image, full, work = state  # shared with the siblings: copy `full`
-            state = _extend(masks, image, full.copy(), last, syllables[-1][1], cap, work)
+        syllables, forbidden, left, last, sums, ab_norm = stack.pop()
         if not left:
-            yield syllables, state
+            yield syllables, ab_norm
             continue
-        if derived:
-            linear = state[1] if cap == 2 else state[0]  # holds the degree-1 terms
-        moved = 0
+        if syllables:  # shared with the siblings: copy before adding the last syllable
+            sums = {**sums, last: sums.get(last, 0) + syllables[-1][1]}
         # Children go on the stack in reverse, so they come off ascending.
         exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
         for g in range(len(vertices) - 1, -1, -1):
@@ -141,22 +130,21 @@ def _sphere(graph, norm, cap=None, derived=False):
                 continue
             after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
             name = vertices[g]
-            if derived:
-                c = linear.get((g,), 0)
+            c = sums.get(g, 0)
+            others = ab_norm - abs(c)
             for e in exponents:
                 rest = left - abs(e)
                 if rest and after == dead:
                     continue
-                if derived:
-                    moved = ab_norm - abs(c) + abs(c + e)
-                    if moved > rest:
-                        continue  # its abelianisation cannot return to 0
-                stack.append((syllables + ((name, e),), after, rest, g, state, moved))
+                moved = others + abs(c + e)
+                if derived and moved > rest:
+                    continue  # its abelianisation cannot return to 0
+                stack.append((syllables + ((name, e),), after, rest, g, sums, moved))
 
 
-def _elements(graph, max_norm, cap=None, derived=False):
-    """Stream of (norm, syllables, state) for the nontrivial elements of norm
-    <= max_norm, in (norm, lex) order; `cap` and `derived` as in `_sphere`.
+def _elements(graph, max_norm, derived=False):
+    """Stream of (norm, syllables, ab_norm) for the nontrivial elements of
+    norm <= max_norm, in (norm, lex) order; `derived` as in `_sphere`.
 
     The ball is checked against MAX_BALL_ELEMENTS here, before the first
     element is made; the syllables come out canonical, with nothing to
@@ -170,8 +158,8 @@ def _elements(graph, max_norm, cap=None, derived=False):
                          f"{MAX_BALL_ELEMENTS} elements; lower the norm bound")
     if size == 1:
         return iter(())  # only the identity: max_norm 0, or a graph with no vertices
-    return ((norm, syllables, state) for norm in range(1, max_norm + 1)
-            for syllables, state in _sphere(graph, norm, cap, derived))
+    return ((norm, syllables, ab_norm) for norm in range(1, max_norm + 1)
+            for syllables, ab_norm in _sphere(graph, norm, derived))
 
 
 def enumerate_elements(graph, max_norm):
@@ -204,10 +192,9 @@ class DepthFunctionRow:
 def depth_function(graph, k, max_norm):
     """Depth function value at k by exhaustive scan of norms <= max_norm.
 
-    Elements are streamed in (norm, lex) order, each with its image at cap k
-    extended from its parent's, and the scan stops at the first one whose
-    image is 1.  For k >= 2 it skips the subtrees outside [G, G], which is
-    exact (module docstring).
+    Elements are streamed in (norm, lex) order and the scan stops at the
+    first one that `in_dimension_subgroup` puts in the k-th term.  For k >= 2
+    it skips the subtrees outside [G, G], which is exact (module docstring).
     """
     if graph.is_complete():
         raise ValueError(
@@ -218,9 +205,10 @@ def depth_function(graph, k, max_norm):
     if k > max_norm >= 0:
         # depth <= norm, so d(k) >= k: nothing to walk
         return DepthFunctionRow(k, "at_least", max_norm + 1)
-    for norm, syllables, (image, full, _) in _elements(graph, max_norm, k, k >= 2):
-        if len(image) == 1 and not any(full.values()):  # the image is 1
-            return DepthFunctionRow(k, "exact", norm, GroupWord._trusted(graph, syllables))
+    for norm, syllables, _ in _elements(graph, max_norm, k >= 2):
+        word = GroupWord._trusted(graph, syllables)
+        if in_dimension_subgroup(word, k):
+            return DepthFunctionRow(k, "exact", norm, word)
     return DepthFunctionRow(k, "at_least", max_norm + 1)
 
 
@@ -277,17 +265,16 @@ def verify_depth_bound(graph, max_norm):
     """Check depth <= norm for every nontrivial element of norm <= max_norm.
 
     Tallies the (norm, depth) histogram and collects violations as the
-    elements stream past, each with its image at cap 2 extended from its
-    parent's: a nonzero degree-1 part means depth 1, and only the other
-    elements go through `lcs_depth`.  Complete graphs are allowed (a
+    elements stream past: a nonzero sum of |exponent sums| means depth 1,
+    and only the other elements go through `lcs_depth`.  Complete graphs are allowed (a
     degenerate run where every depth is 1).
     """
     cells = {}
     violations = []
     checked = 0
-    for n, syllables, (_, full, _) in _elements(graph, max_norm, 2):
-        if any(full.values()):
-            d = 1  # a nonzero degree-1 part: outside [G, G]
+    for n, syllables, ab_norm in _elements(graph, max_norm):
+        if ab_norm:
+            d = 1  # a nonzero abelianisation: outside [G, G]
         else:
             word = GroupWord._trusted(graph, syllables)
             d = lcs_depth(word).depth

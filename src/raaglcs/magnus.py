@@ -14,10 +14,7 @@ a dict from such tuples to nonzero ints.  Multiplying on the right by
 s^k, and all k copies of s go in at the one place `lex_insertion_point`
 finds for s in t (Anisimov-Knuth insertion: across the commuting suffix,
 before its first greater letter), so the result is lex-least with no
-re-sort.  That one-syllable step is `_extend`: it maps a word's state to
-the state of the word times s^e with a new image, so `_image` is a loop
-over it and `lab` extends each enumerated element's state from its
-parent's.
+re-sort.  `_image`, the kernel of `mu`, takes that step once per syllable.
 
 Depth is decided by one search, `_first_term`, a sweep over the degrees d =
 1, 2, ..., norm: a nontrivial element's image has a nonzero square-free term
@@ -39,12 +36,17 @@ lex-least term the witness.  Each degree is computed once.  `lcs_depth` and
 `in_dimension_subgroup` both run the sweep; a caller's cap or k is a ceiling
 on it, not a target, and the work is summed over its rounds.
 
-`_extend` and the sweep charge work by one rule (see MAX_KERNEL_WORK) and
+`_image` and the sweep charge work by one rule (see MAX_KERNEL_WORK) and
 build binomials with one routine, `_grow_binomials`, which charges each
 coefficient as it is built, so a huge exponent at a large cap is refused
 before its coefficients fill memory; when a binomial is past one 64-bit
 word, each term visited is charged for the products it will write before it
-writes them.  The sweep also charges each increment term it stores.
+writes them.  The sweep also charges the increment terms a round stores,
+when the next round starts: the last round's are never read, so never
+charged.  So the work splits: the sweep is the one engine for depth, and
+`_image` the one engine for whole images; routing `mu` through the sweep
+would cost rounds times layers, which grows as cap^2 once an exponent
+passes the cap.
 
 `Trace`, `TruncatedSeries` and `GroupWord` stay the validated types at the
 boundary: words are validated as they are built, the kernel trusts its own
@@ -66,9 +68,10 @@ from .words import GroupWord, Trace, commuting_suffix_start, lex_insertion_point
 # series term and per 64 bits of each binomial coefficient built, (u + 1) v
 # per product of coefficients of u and v extra 64-bit words written, plus 32
 # per term visited, about what a visit costs in time, and 32 per increment
-# term the sweep stores, so the budget bounds what the sweep holds too.  The
-# F2 left-normed commutator of weight 10 needs about 27.5 million; weight 11
-# needs about 110 million, and is refused at about 60 MiB peak RSS.
+# term the sweep stores and a later round reads, so the budget bounds what
+# the sweep holds too.  The F2 left-normed commutator of weight 10 needs
+# about 21.6 million; weight 11 needs about 87 million, and is refused at
+# about 72 MiB peak RSS.
 MAX_KERNEL_WORK = 40_000_000
 _VISIT = 32  # units per term visited or stored
 
@@ -109,59 +112,49 @@ def _grow_binomials(coeffs, e, top, work):
     return work
 
 
-def _extend(masks, image, full, s, e, cap, work):
-    """One kernel step: a word's state times (1 + s)^e.
-
-    A state is `image`, the constant term and the terms of degree < cap - 1,
-    and `full`, the terms of degree cap - 1, which are summed but never
-    visited again, zero sums included.  Returns (image, full, work): a new
-    image, leaving `image` intact, and `full` itself with this step's terms
-    added, so a caller that keeps the old state passes a copy of `full`.
-    Copying it here would make a long word's image quadratic in its number
-    of top-degree terms.  Raises ValueError before a coefficient, a term
-    visit or an extension would take `work` past MAX_KERNEL_WORK.
-    """
-    budget = MAX_KERNEL_WORK
-    coeffs = [1]
-    start = work
-    work = _grow_binomials(coeffs, e, cap, work)
-    spans = None  # with a binomial past one 64-bit word: its extra words summed below j
-    if work > start:
-        spans = list(accumulate((b.bit_length() >> 6 for b in coeffs), initial=0))
-    size = len(coeffs)
-    mask = masks[s]
-    out = image.copy()  # the k = 0 terms
-    for t, c in image.items():
-        n = len(t)
-        top = min(size, cap - n)
-        work += _VISIT + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
-        if spans:  # each product c * C(e, k): (u + 1) v units, u and v their extra words
-            work += ((c.bit_length() >> 6) + 1) * spans[top]
-        if work > budget:
-            raise _over_budget()
-        last = cap - 1 - n  # the k that lands in degree cap - 1
-        pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
-        head, tail = t[:pos], t[pos:]
-        for k in range(1, top):
-            head += (s,)
-            term = head + tail
-            into = full if k == last else out
-            into[term] = into.get(term, 0) + c * coeffs[k]
-    return {t: c for t, c in out.items() if c}, full, work
-
-
-def _image(graph, codes, cap, work=0):
+def _image(graph, codes, cap):
     """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap.
 
-    The product of the syllables' `_extend` steps; returns the image and
-    `work` plus the work done.
+    Multiplies 1 on the right by each syllable's (1 + s)^e in turn.  The
+    terms of degree cap - 1 go into `full`, summed but never visited again,
+    zero sums included, and join the image at the end; copying them with the
+    image at every syllable would make a long word's image quadratic in
+    their number.  Raises ValueError before a coefficient, a term visit or
+    an extension would take the work past MAX_KERNEL_WORK.
     """
+    budget = MAX_KERNEL_WORK
     masks = graph.masks
     image, full = {(): 1}, {}
+    work = 0
     for s, e in codes:
-        image, full, work = _extend(masks, image, full, s, e, cap, work)
+        coeffs = [1]
+        start = work
+        work = _grow_binomials(coeffs, e, cap, work)
+        spans = None  # with a binomial past one 64-bit word: its extra words summed below j
+        if work > start:
+            spans = list(accumulate((b.bit_length() >> 6 for b in coeffs), initial=0))
+        size = len(coeffs)
+        mask = masks[s]
+        out = image.copy()  # the k = 0 terms
+        for t, c in image.items():
+            n = len(t)
+            top = min(size, cap - n)
+            work += _VISIT + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
+            if spans:  # each product c * C(e, k): (u + 1) v units, u and v their extra words
+                work += ((c.bit_length() >> 6) + 1) * spans[top]
+            if work > budget:
+                raise _over_budget()
+            last = cap - 1 - n  # the k that lands in degree cap - 1
+            pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
+            head, tail = t[:pos], t[pos:]
+            for k in range(1, top):
+                head += (s,)
+                term = head + tail
+                into = full if k == last else out
+                into[term] = into.get(term, 0) + c * coeffs[k]
+        image = {t: c for t, c in out.items() if c}
     image.update((t, c) for t, c in full.items() if c)
-    return image, work
+    return image
 
 
 def mu(word, cap):
@@ -169,7 +162,7 @@ def mu(word, cap):
     check_cap(cap)
     graph = word.graph
     vertices = graph.vertices
-    image, _ = _image(graph, _codes(word), cap)
+    image = _image(graph, _codes(word), cap)
     terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): image[t]
              for t in sorted(image, key=lambda t: (len(t), t))}
     return TruncatedSeries._trusted(graph, cap, terms)
@@ -188,11 +181,14 @@ def _first_term(graph, codes, top):
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
-    work = 0
+    work = held = 0  # held: the terms the round before stored
     for d in range(1, top):
         for n, row in rows.items():
             if len(row) <= min(n, d):
                 work = _grow_binomials(row, n, d + 1, work)
+        work += held * _VISIT  # charged once a round will read them
+        if work > budget:
+            raise _over_budget()
         last = d - width  # no later round reads degree `last`
         layers = {j: {} for j in range(max(last, 1), d)}  # L_i^j as i advances
 
@@ -243,7 +239,6 @@ def _first_term(graph, codes, top):
                 advance(i)
             if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
                 delta = {t: c for t, c in delta.items() if c}
-            work += len(delta) * _VISIT  # the terms stored
             if work > budget:
                 raise _over_budget()
             stored.append(delta)
@@ -254,6 +249,7 @@ def _first_term(graph, codes, top):
             return min(positive)
         steps.pop(last, None)
         steps[d] = stored
+        held = sum(map(len, stored))
     return None
 
 

@@ -7,17 +7,7 @@ integers.  All arithmetic is exact (unbounded ints).
 
 from __future__ import annotations
 
-import sys
-
-from .words import Trace
-
-
-def _digits(n):
-    try:
-        return str(n)
-    except ValueError:  # int -> str is quadratic, so Python bounds the digits it prints
-        raise ValueError(f"cannot print a coefficient of more than "
-                         f"{sys.get_int_max_str_digits()} digits (the integer print limit)") from None
+from .words import Trace, _digits
 
 
 def check_cap(cap):
@@ -143,8 +133,8 @@ class TruncatedSeries:
             return "0"
         parts = []
         for trace, coeff in self.terms.items():
-            magnitude = _digits(abs(coeff))
-            body = str(magnitude) if trace.length == 0 else f"{magnitude}*{'*'.join(trace.letters)}"
+            magnitude = _digits(abs(coeff), "a coefficient")
+            body = magnitude if trace.length == 0 else f"{magnitude}*{'*'.join(trace.letters)}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:

@@ -13,6 +13,7 @@ scans build every `Trace` and every term of the Magnus kernel.
 from __future__ import annotations
 
 import re
+import sys
 
 
 class GroupWord:
@@ -125,10 +126,26 @@ class GroupWord:
     def __str__(self):
         if not self.syllables:
             return "1"
-        return " ".join(s if e == 1 else f"{s}^{e}" for s, e in self.syllables)
+        return " ".join(s if e == 1 else f"{s}^{_digits(e, 'an exponent')}"
+                        for s, e in self.syllables)
 
     def __repr__(self):
         return f"<GroupWord {self}>"
+
+
+def _digits(n, what):
+    """str(n) for an int n, int(n) for a string n of decimal digits.
+
+    Python converts neither way past sys.get_int_max_str_digits() digits,
+    since the conversion is quadratic; past it this raises one ValueError
+    that names `what` and the limit, instead of Python's own message.
+    """
+    try:
+        return int(n) if isinstance(n, str) else str(n)
+    except ValueError:
+        verb = "parse" if isinstance(n, str) else "print"
+        raise ValueError(f"cannot {verb} {what} of more than {sys.get_int_max_str_digits()} "
+                         f"digits (the integer {verb} limit)") from None
 
 
 def commutator(u, v):
@@ -300,7 +317,7 @@ def parse_syllables(text):
             left = outer_left
         elif token != "1":
             name, _, exp = token.partition("^")
-            value = int(exp) if exp else 1
+            value = _digits(exp, "an exponent") if exp else 1
             if value == 0:
                 raise ValueError(f"zero exponent in {token!r}")
             current.append((name, value))

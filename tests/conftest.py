@@ -164,6 +164,6 @@ def image_at_one_cap(word, cap):
     (least positive term as (degree, letter codes) or None, image == 1)."""
     graph = word.graph
     codes = [(graph.index(s), e) for s, e in word.syllables if e]
-    image, _ = magnus._image(graph, codes, cap)
+    image = magnus._image(graph, codes, cap)
     positive = [(len(t), t) for t in image if t]
     return min(positive, default=None), image == {(): 1}

@@ -180,6 +180,21 @@ def test_magnus_coefficient_past_print_limit_exit_two(tmp_path, capsys):
         "error: cannot print a coefficient of more than 4300 digits (the integer print limit)\n"
 
 
+@pytest.mark.parametrize("command, word, what", [
+    ("nf", "a^E a^E", "print an exponent"),  # the merged exponent has 4,301 digits
+    ("norm", "a^E a^E", "print a norm"),
+    ("depth", "a^E9", "parse an exponent"),
+])
+def test_integer_past_string_limit_exit_two(tmp_path, capsys, command, word, what):
+    word = word.replace("E", "9" * 4300)
+    assert run([command, "--graph", f2_file(tmp_path), word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    verb = what.split()[0]
+    assert captured.err == \
+        f"error: cannot {what} of more than 4300 digits (the integer {verb} limit)\n"
+
+
 def test_huge_graph_exit_two(tmp_path, capsys):
     # A 300,000-vertex path: its adjacency masks would hold about 45 G bits.
     names = [f"v{i}" for i in range(300_000)]
@@ -215,8 +230,8 @@ def edgeless_file(tmp_path, n):
 
 
 def test_depth_many_commutators_is_fast(tmp_path, capsys):
-    # 8,000 distinct commutators: at cap 3 the image keeps about 16,000
-    # degree-2 terms, which are summed but never visited again.
+    # 8,000 distinct commutators: the depth sweep stops after round 2, where
+    # each syllable visits the running degree-1 layer, at most 150 terms.
     pairs = [(i, j) for i in range(150) for j in range(i + 1, 150)][:8000]
     word = " ".join(f"[x{i},x{j}]" for i, j in pairs)
     start = time.perf_counter()
@@ -235,6 +250,17 @@ def test_depth_many_triple_commutators_is_fast(tmp_path, capsys):
     assert run(["depth", "--graph", edgeless_file(tmp_path, 150), word]) == 0
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr().out == "depth=3\n"
+
+
+def test_depth_last_round_stores_uncharged(tmp_path, capsys):
+    # 6,000 syllables of depth 2 over 150 free generators: round 2 stores up
+    # to 150 increment terms per syllable, which no later round reads, so
+    # they are never charged; charging them would pass the work budget.
+    letters = [f"x{i}" for i in range(150)] * 20
+    inverses = [f"{x}^-1" for x in random.Random(5).sample(letters, len(letters))]
+    word = " ".join(letters + inverses)
+    assert run(["depth", "--graph", edgeless_file(tmp_path, 150), word]) == 0
+    assert capsys.readouterr().out == "depth=2\n"
 
 
 def test_magnus_term_visits_exit_two(tmp_path, capsys):
@@ -469,9 +495,9 @@ def run_python(args, cwd, preexec_fn=None):
 
 
 def test_depth_refusal_fits_an_address_space_limit(tmp_path):
-    # F2 weight 11: the depth sweep charges the increments it stores to the
-    # work budget, so it is refused at about 64 MiB of address space; without
-    # that charge it would reach about 100 MiB first.
+    # F2 weight 11: the depth sweep charges the increments a round stores to
+    # the work budget when the next round starts, so it is refused at about
+    # 72 MiB; without that charge it would reach about 100 MiB first.
     word = "a"
     for _ in range(10):
         word = f"[{word},b]"

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from conftest import (c4, f2, freely_reduced_strings, growth_series, k3,
                       k3_minus_edge, p3, random_graph, swap_closure_lex_min, z2)
 from raaglcs import (Graph, GroupWord, VerifyReport, commutator_witness, depth_function,
-                     enumerate_elements, in_dimension_subgroup, lcs_depth,
+                     enumerate_elements, in_dimension_subgroup, lcs_depth, mu,
                      verify_depth_bound)
-from raaglcs import lab, magnus
+from raaglcs import lab
 
 
 def lex_key(word):
@@ -162,9 +162,9 @@ def test_depth_function_stops_at_first_hit(monkeypatch):
     sphere = lab._sphere
 
     def counting(*args):
-        for syllables, state in sphere(*args):
+        for syllables, ab_norm in sphere(*args):
             pulled.append(syllables)
-            yield syllables, state
+            yield syllables, ab_norm
 
     monkeypatch.setattr(lab, "_sphere", counting)
     row = depth_function(f2(), 3, 8)
@@ -175,8 +175,9 @@ def test_depth_function_stops_at_first_hit(monkeypatch):
 
 
 def test_depth_function_decides_elements_outside_derived_subgroup_unseen():
-    # Every element of norm <= 5 outside [G, G] is skipped without its image,
-    # and some of those images at cap 50 would pass MAX_KERNEL_WORK.
+    # k = 50 is above the norm bound 5, and depth <= norm, so the row is a
+    # lower bound before any element is walked; an image at cap 50 of some
+    # of those elements would pass MAX_KERNEL_WORK.
     row = depth_function(f2(), 50, 5)
     assert (row.kind, row.norm) == ("at_least", 6)
 
@@ -259,7 +260,7 @@ def test_verify_lines_match_reference():
         assert verify_depth_bound(graph, max_norm).lines() == expected.lines()
 
 
-# --- images carried down the normal-form tree ---
+# --- exponent sums carried down the normal-form tree ---
 
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 5))
 @settings(max_examples=30, deadline=None)
@@ -295,16 +296,43 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
     assert report.cells == cells
     assert [(w.syllables, n, d) for w, n, d in report.violations] == violations
 
-    # each element's carried state against its image built from scratch, and
-    # the pruned walk against the elements whose degree-1 part vanishes
-    cap = k + 1
+    # each element's carried ab_norm against the degree-1 part of its image
+    # built from scratch, and the pruned walk against the elements whose
+    # ab_norm is 0
     for norm in range(1, max_norm + 1):
         derived = []
-        for syllables, (image, full, work) in lab._sphere(graph, norm, cap):
-            codes = [(graph.index(s), e) for s, e in syllables]
-            scratch, scratch_work = magnus._image(graph, codes, cap)
-            assert work == scratch_work
-            assert {**image, **{t: c for t, c in full.items() if c}} == scratch
-            if all(len(t) != 1 for t in scratch):
+        for syllables, ab_norm in lab._sphere(graph, norm):
+            image = mu(GroupWord(graph, syllables), 2)
+            assert ab_norm == sum(abs(c) for t, c in image.terms.items() if t.length == 1)
+            if not ab_norm:
                 derived.append(syllables)
-        assert [s for s, _ in lab._sphere(graph, norm, cap, True)] == derived
+        assert list(lab._sphere(graph, norm, True)) == [(s, 0) for s in derived]
+
+
+def exponent_sums_vanish(word):
+    sums = {}
+    for s, e in word.syllables:
+        sums[s] = sums.get(s, 0) + e
+    return not any(sums.values())
+
+
+def test_kernel_asked_only_about_zero_exponent_sums(monkeypatch):
+    def counting(name):
+        real = getattr(lab, name)
+
+        def ask(word, *args):
+            asked[name].append(word.syllables)
+            return real(word, *args)
+        return ask
+
+    asked = {"in_dimension_subgroup": [], "lcs_depth": []}
+    for name in asked:
+        monkeypatch.setattr(lab, name, counting(name))
+
+    row = depth_function(f2(), 3, 8)
+    zero = [w.syllables for w in enumerate_elements(f2(), 8) if exponent_sums_vanish(w)]
+    assert asked["in_dimension_subgroup"] == zero[:zero.index(row.minimal_witness.syllables) + 1]
+
+    verify_depth_bound(c4(), 6)
+    assert asked["lcs_depth"] == [w.syllables for w in enumerate_elements(c4(), 6)
+                                  if exponent_sums_vanish(w)]
