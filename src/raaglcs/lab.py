@@ -48,7 +48,7 @@ from math import comb
 from typing import Optional
 
 from .magnus import in_dimension_subgroup, lcs_depth
-from .words import GroupWord, commutator
+from .words import GroupWord, check_int, commutator
 
 # Enumerations, sweeps and depth-function scans refuse balls larger than
 # this.  It admits the ball of C4 up to norm 8 (139,969 elements); the list
@@ -150,8 +150,7 @@ def _elements(graph, max_norm, derived=False):
     element is made; the syllables come out canonical, with nothing to
     re-reduce.
     """
-    if max_norm < 0:
-        raise ValueError("max_norm must be >= 0")
+    check_int(max_norm, 0, "max_norm must be >= 0")
     size = ball_size(graph, max_norm, MAX_BALL_ELEMENTS)
     if size > MAX_BALL_ELEMENTS:
         raise ValueError(f"the ball of norm <= {max_norm} has more than "
@@ -200,9 +199,9 @@ def depth_function(graph, k, max_norm):
         raise ValueError(
             "complete graph: the group is free abelian, hence nilpotent, and "
             "deep lower central terms are trivial")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > max_norm >= 0:
+    check_int(k, 1, "k must be >= 1")
+    check_int(max_norm, 0, "max_norm must be >= 0")
+    if k > max_norm:
         # depth <= norm, so d(k) >= k: nothing to walk
         return DepthFunctionRow(k, "at_least", max_norm + 1)
     for norm, syllables, _ in _elements(graph, max_norm, k >= 2):
@@ -218,8 +217,7 @@ def commutator_witness(graph, k):
     s, t is the first non-adjacent vertex pair in declaration order; the
     result lies in the k-th lower central term by construction.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int(k, 1, "k must be >= 1")
     verts = graph.vertices
     pair = None
     for i in range(len(verts)):

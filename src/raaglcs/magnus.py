@@ -48,10 +48,12 @@ charged.  So the work splits: the sweep is the one engine for depth, and
 would cost rounds times layers, which grows as cap^2 once an exponent
 passes the cap.
 
-`Trace`, `TruncatedSeries` and `GroupWord` stay the validated types at the
-boundary: words are validated as they are built, the kernel trusts its own
-canonical tuples, `mu` converts its result once at exit, and `lcs_depth`
-builds a single `Trace`, for the witness.
+`GroupWord` and `Trace` stay the validated types at the boundary, and
+`TruncatedSeries` the read-only type of `mu`'s result: words are validated as
+they are built, the kernel trusts its own canonical tuples, `mu` converts its
+image once at exit, and `lcs_depth` builds a single `Trace`, for the witness.
+No library path runs generic series arithmetic; the tests check `mu` against
+a product of binomial factors built from `math.comb`.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .series import TruncatedSeries, check_cap
-from .words import GroupWord, Trace, commuting_suffix_start, lex_insertion_point
+from .series import _CAP_MESSAGE, TruncatedSeries
+from .words import (GroupWord, Trace, check_int, commuting_suffix_start,
+                    lex_insertion_point)
 
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over all
 # the rounds of its degree sweep) may do: one unit per letter written into a
@@ -159,7 +162,7 @@ def _image(graph, codes, cap):
 
 def mu(word, cap):
     """Image of a word under generator -> 1 + generator, truncated below cap."""
-    check_cap(cap)
+    check_int(cap, 1, _CAP_MESSAGE)
     graph = word.graph
     vertices = graph.vertices
     image = _image(graph, _codes(word), cap)
@@ -255,8 +258,7 @@ def _first_term(graph, codes, top):
 
 def in_dimension_subgroup(word, k):
     """True iff the series image of the word is 1 + (terms of degree >= k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int(k, 1, "k must be >= 1")
     reduced = word.reduced()
     return _first_term(word.graph, _codes(reduced), min(k, reduced.norm() + 1)) is None
 
@@ -298,14 +300,13 @@ def lcs_depth(word, cap=None):
     bound.  A search that would do more than MAX_KERNEL_WORK units of
     kernel work in all raises ValueError.
     """
+    if cap is not None:
+        check_int(cap, 1, _CAP_MESSAGE)
     reduced = word.reduced()
     if not reduced.syllables:
         return DepthResult.infinite()
     graph = word.graph
-    top = reduced.norm() + 1
-    if cap is not None:
-        check_cap(cap)
-        top = min(cap, top)
+    top = reduced.norm() + 1 if cap is None else min(cap, reduced.norm() + 1)
     term = _first_term(graph, _codes(reduced), top)
     if term is None:
         return DepthResult.at_least(top)

@@ -1,22 +1,24 @@
-"""Truncated integer series over a trace monoid.
+"""Truncated integer series over a trace monoid: the result type of `mu`.
 
 The monoid ring is graded by trace length; everything of degree >= cap is
 discarded, so a series is a finite map from traces of length < cap to nonzero
-integers.  All arithmetic is exact (unbounded ints).
+integers.  All arithmetic is exact (unbounded ints).  `magnus` computes images
+on its own int-coded kernel and returns them as `TruncatedSeries` values to
+be read: coefficients, degree parts, the least positive degree, equality and
+printing.  The one ring operation kept is the product, which multiplies
+images (mu(u) * mu(v) == mu(u v)) and which perfbench traces.
 """
 
 from __future__ import annotations
 
-from .words import Trace, _digits
+from .words import Trace, _digits, check_int
 
-
-def check_cap(cap):
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+_CAP_MESSAGE = "cap must be a positive integer, got {!r}"
 
 
 class TruncatedSeries:
-    """Finite Z-linear combination of traces of length < cap.
+    """Finite Z-linear combination of traces of length < cap, such as `mu`'s
+    image of a word.
 
     Normalized on construction: duplicate traces merged, zero coefficients
     and over-cap terms dropped, terms kept in (degree, lex) order.  Treat
@@ -26,7 +28,7 @@ class TruncatedSeries:
     __slots__ = ("graph", "cap", "terms")
 
     def __init__(self, graph, cap, terms=()):
-        check_cap(cap)
+        check_int(cap, 1, _CAP_MESSAGE)
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for trace, coeff in items:
@@ -52,45 +54,13 @@ class TruncatedSeries:
         series.terms = terms
         return series
 
-    @classmethod
-    def one(cls, graph, cap):
-        """The constant series 1."""
-        return cls(graph, cap, [(Trace(graph), 1)])
-
-    @classmethod
-    def generator(cls, graph, cap, s):
-        """The degree-1 series for a single generator (empty when cap == 1)."""
-        graph.index(s)
-        return cls(graph, cap, [(Trace(graph, (s,)), 1)])
-
-    def _require_compatible(self, other):
+    def __mul__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         if self.graph != other.graph:
             raise ValueError("series live over different graphs")
         if self.cap != other.cap:
             raise ValueError(f"mixed caps {self.cap} and {other.cap}")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_compatible(other)
-        acc = dict(self.terms)
-        for trace, coeff in other.terms.items():
-            acc[trace] = acc.get(trace, 0) + coeff
-        return TruncatedSeries(self.graph, self.cap, acc)
-
-    def __neg__(self):
-        return TruncatedSeries(self.graph, self.cap,
-                               [(t, -c) for t, c in self.terms.items()])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_compatible(other)
         cap = self.cap
         acc = {}
         for t1, c1 in self.terms.items():

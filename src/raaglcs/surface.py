@@ -19,7 +19,7 @@ from typing import Optional
 
 from .graph import Graph, _keyed_lines, _pairs
 from .magnus import lcs_depth
-from .words import (MAX_WORD_SYLLABLES, GroupWord, check_word_size,
+from .words import (MAX_WORD_SYLLABLES, GroupWord, check_int, check_word_size,
                     parse_syllables)
 
 
@@ -48,8 +48,7 @@ class Dissection:
 
     def __init__(self, genus, curves, intersections, crossing_sequences,
                  components=None):
-        if not isinstance(genus, int) or genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {genus!r}")
+        check_int(genus, 1, "genus must be a positive integer, got {!r}")
         curves = tuple(curves)
         declared = set()
         for c in curves:
@@ -180,8 +179,7 @@ def _standard_data(genus):
     Rejects a genus whose relator image (12 letters per handle) would exceed
     MAX_WORD_SYLLABLES before building anything.
     """
-    if not isinstance(genus, int) or genus < 2:
-        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
+    check_int(genus, 2, "genus must be an integer >= 2, got {!r}")
     if 12 * genus > MAX_WORD_SYLLABLES:
         raise ValueError(f"genus {genus} is too large: its relator image would "
                          f"exceed {MAX_WORD_SYLLABLES} letters")

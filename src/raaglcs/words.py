@@ -115,14 +115,6 @@ class GroupWord:
     def inverse(self):
         return GroupWord(self.graph, [(s, -e) for s, e in reversed(self.syllables)])
 
-    def to_trace(self):
-        """Canonical trace of a positive word; rejects nonpositive exponents."""
-        for gen, exp in self.syllables:
-            if exp <= 0:
-                raise ValueError(f"nonpositive exponent {exp} on {gen!r}; traces take positive words")
-        check_word_size(sum(exp for _, exp in self.syllables), "letters")
-        return Trace(self.graph, [gen for gen, exp in self.syllables for _ in range(exp)])
-
     def __str__(self):
         if not self.syllables:
             return "1"
@@ -146,6 +138,13 @@ def _digits(n, what):
         verb = "parse" if isinstance(n, str) else "print"
         raise ValueError(f"cannot {verb} {what} of more than {sys.get_int_max_str_digits()} "
                          f"digits (the integer {verb} limit)") from None
+
+
+def check_int(value, least, message):
+    """Reject anything but an int >= least, a bool included, with
+    ValueError(message.format(value))."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(message.format(value))
 
 
 def commutator(u, v):
@@ -229,14 +228,6 @@ class Trace:
             raise ValueError("traces live over different graphs")
         return Trace(self.graph, self.letters + other.letters)
 
-    def is_square_free(self):
-        """True iff no word representing this trace has two consecutive equal letters.
-
-        Reducing the unit-exponent word detects exactly the failures: a merge
-        happens iff some representative brings two equal letters together.
-        """
-        return GroupWord(self.graph, [(a, 1) for a in self.letters]).is_fully_reduced()
-
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
@@ -256,8 +247,8 @@ _SYLLABLE_RE = re.compile(r"[A-Za-z0-9_]+(?:\^[+-]?\d+)?")
 
 # Each commutator level doubles a word, so nesting depth alone can make the
 # expansion exponential; a parsed word may hold at most this many syllables,
-# and a word expanded letter by letter (a trace, a surface word's image) at
-# most this many letters.
+# and a word expanded letter by letter (a surface word's image) at most this
+# many letters.
 MAX_WORD_SYLLABLES = 100_000
 
 

@@ -1,14 +1,16 @@
 """Shared fixtures-as-functions: small graphs, seeded random samplers, the
 brute-force swap-closure oracle used to pin canonical forms, Chiswell's
-growth series used to count enumerations, the one-image reference for the
-depth sweep in `magnus`, and the Hypothesis profiles."""
+growth series used to count enumerations, the generic series oracle for
+`mu`, the one-image reference for the depth sweep in `magnus`, and the
+Hypothesis profiles."""
 
 import itertools
+import math
 import os
 
 from hypothesis import settings
 
-from raaglcs import Graph, GroupWord, magnus
+from raaglcs import Graph, GroupWord, Trace, TruncatedSeries, magnus
 
 # CI runs with HYPOTHESIS_PROFILE=ci, so a failing property prints the blob
 # that replays it with @reproduce_failure.
@@ -167,3 +169,33 @@ def image_at_one_cap(word, cap):
     image = magnus._image(graph, codes, cap)
     positive = [(len(t), t) for t in image if t]
     return min(positive, default=None), image == {(): 1}
+
+
+def series_one(graph, cap):
+    """The constant series 1."""
+    return TruncatedSeries(graph, cap, [(Trace(graph), 1)])
+
+
+def series_sum(*parts):
+    """The sum of series over one graph at one cap."""
+    first = parts[0]
+    return TruncatedSeries(first.graph, first.cap,
+                           [term for part in parts for term in part.terms.items()])
+
+
+def binomial_factor(graph, s, e, cap):
+    """(1 + s)^e truncated below cap, from math.comb: the coefficient of s^k
+    is C(e, k) for e >= 0 and (-1)^k C(-e + k - 1, k) for e < 0."""
+    return TruncatedSeries(graph, cap, [
+        (Trace(graph, [s] * k),
+         math.comb(e, k) if e >= 0 else (-1) ** k * math.comb(-e + k - 1, k))
+        for k in range(cap)])
+
+
+def generic_mu(word, cap):
+    """mu by the generic path, independent of the kernel in `magnus`: the
+    series product of the syllables' binomial factors."""
+    out = series_one(word.graph, cap)
+    for s, e in word.syllables:
+        out = out * binomial_factor(word.graph, s, e, cap)
+    return out

@@ -5,11 +5,10 @@ closure by BFS, and piling."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (c4, f2, image_at_one_cap, k3_minus_edge, p3, piling_norm,
-                      random_graph, swap_closure_lex_min)
-from raaglcs import (DepthResult, Graph, GroupWord, Trace, TruncatedSeries,
-                     commutator, in_dimension_subgroup, lcs_depth, mu,
-                     syllable_factor)
+from conftest import (c4, f2, generic_mu, image_at_one_cap, k3_minus_edge, p3,
+                      piling_norm, random_graph, swap_closure_lex_min)
+from raaglcs import (DepthResult, Graph, GroupWord, Trace, commutator,
+                     in_dimension_subgroup, lcs_depth, mu)
 
 GRAPHS = [f2(), p3(), c4(), k3_minus_edge(),
           Graph(["a", "b", "c", "d", "e"],
@@ -27,14 +26,6 @@ def words(graph, max_syllables=5, exponents=EXPONENTS):
 def graph_and_word(draw, max_syllables=5, exponents=EXPONENTS):
     graph = draw(st.sampled_from(GRAPHS))
     return graph, draw(words(graph, max_syllables, exponents))
-
-
-def generic_mu(word, cap):
-    """mu by the generic path: the product of syllable factors."""
-    out = TruncatedSeries.one(word.graph, cap)
-    for s, e in word.syllables:
-        out = out * syllable_factor(word.graph, s, e, cap)
-    return out
 
 
 def swap_closure_min_letters(graph, letters):

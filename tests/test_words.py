@@ -45,6 +45,8 @@ def test_reduce_idempotent_random():
 def test_fully_reduced_flag():
     assert parse_word("a b a^-1", f2()).is_fully_reduced()
     assert not parse_word("a b a", z2()).is_fully_reduced()
+    assert parse_word("a b a", f2()).is_fully_reduced()
+    assert GroupWord(f2()).is_fully_reduced()
 
 
 # --- canonical forms ---
@@ -174,33 +176,6 @@ def test_concat_rejects_mismatched_graphs():
 
 # --- traces ---
 
-def test_to_trace_canonical_over_edge():
-    t1 = parse_word("a b", z2()).to_trace()
-    t2 = parse_word("b a", z2()).to_trace()
-    assert t1.letters == ("a", "b")
-    assert t1 == t2
-    assert t1.length == 2
-
-
-def test_to_trace_power():
-    t = parse_word("a^2", f2()).to_trace()
-    assert t.letters == ("a", "a")
-    assert t.length == 2
-
-
-def test_to_trace_rejects_nonpositive():
-    with pytest.raises(ValueError, match="nonpositive"):
-        parse_word("a^-1", f2()).to_trace()
-    with pytest.raises(ValueError, match="nonpositive"):
-        GroupWord(f2(), [("a", 0)]).to_trace()
-
-
-def test_to_trace_size_bound():
-    assert GroupWord(f2(), [("a", MAX_WORD_SYLLABLES)]).to_trace().length == MAX_WORD_SYLLABLES
-    with pytest.raises(ValueError, match="more than 100000 letters"):
-        GroupWord(f2(), [("a", 1), ("b", MAX_WORD_SYLLABLES)]).to_trace()
-
-
 def test_trace_injective_on_monoid():
     rng = random.Random(17)
     for _ in range(200):
@@ -208,13 +183,9 @@ def test_trace_injective_on_monoid():
         syls1 = [(s, abs(e)) for s, e in random_word(rng, g).syllables]
         syls2 = [(s, abs(e)) for s, e in random_word(rng, g).syllables]
         w1, w2 = GroupWord(g, syls1), GroupWord(g, syls2)
-        assert (w1.to_trace() == w2.to_trace()) == w1.equals(w2)
-
-
-def test_square_free_detects_commuting_square():
-    assert not Trace(z2(), ["a", "b", "a"]).is_square_free()
-    assert Trace(f2(), ["a", "b", "a"]).is_square_free()
-    assert Trace(f2()).is_square_free()
+        t1 = Trace(g, [s for s, e in syls1 for _ in range(e)])
+        t2 = Trace(g, [s for s, e in syls2 for _ in range(e)])
+        assert (t1 == t2) == w1.equals(w2)
 
 
 def test_trace_multiplication_lengths_add():
