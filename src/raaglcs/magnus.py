@@ -7,20 +7,18 @@ at least k, and for graph groups that filtration coincides with the lower
 central series (Duchamp-Krob 1992), so the minimal positive degree in the
 image is the element's exact lower-central-series depth.
 
-The image is computed by a small kernel on int-coded data: a letter is its
+The image is computed by one kernel on int-coded data: a letter is its
 vertex index, a trace is the tuple of its lex-least letters, and a series is
-a dict from such tuples to nonzero ints.  Multiplying on the right by
-(1 + s)^e = sum_k C(e, k) s^k extends every term t of degree < cap - 1 by
-s^k, and all k copies of s go in at the one place `lex_insertion_point`
-finds for s in t (Anisimov-Knuth insertion: across the commuting suffix,
-before its first greater letter), so the result is lex-least with no
-re-sort.  `_image`, the kernel of `mu`, takes that step once per syllable.
+a dict from such tuples to ints.  Multiplying a term t by s^k puts all k
+copies of s in at the one place `lex_insertion_point` finds for s in t
+(Anisimov-Knuth insertion: across the commuting suffix, before its first
+greater letter), so the result is lex-least with no re-sort.
 
-Depth is decided by one search, `_first_term`, a sweep over the degrees d =
-1, 2, ..., norm: a nontrivial element's image has a nonzero square-free term
-in degree <= norm.  Let L_i be the image of the word's first i syllables and
-L_i^d its degree-d part.  Round d visits each syllable s^e once and computes
-its increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
+The kernel, `_degree_parts`, sweeps the degrees d = 1, 2, ... and yields
+the image's degree-d part in round d.  Let L_i be the image of the word's
+first i syllables and L_i^d its degree-d part.  Round d visits each syllable
+s^e once and computes its increment D_i^d = L_(i+1)^d - L_i^d from lower
+degrees:
 
     e > 0:       D_i^d =  sum over k = 1 .. min(e, d) of C(e, k) L_i^(d-k) s^k
     e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
@@ -30,23 +28,25 @@ layers, with L^0 = 1 read as the constant term, never copied.  Each round
 rebuilds the running layers L_i^j, d - max|e| <= j < d, by adding up the
 increments stored for those degrees as i advances, and frees an increment
 once the last round that reads it has; a long word holds increments, never
-a whole layer per syllable.  The sweep stops at the first d where the final
-L^d, the sum of the round's increments, is nonzero: d is the depth and its
-lex-least term the witness.  Each degree is computed once.  `lcs_depth` and
-`in_dimension_subgroup` both run the sweep; a caller's cap or k is a ceiling
-on it, not a target, and the work is summed over its rounds.
+a whole layer per syllable.  Round d's part is the final L^d, the sum of
+its increments, and each degree is computed once.
 
-`_image` and the sweep charge work by one rule (see MAX_KERNEL_WORK) and
-build binomials with one routine, `_grow_binomials`, which charges each
-coefficient as it is built, so a huge exponent at a large cap is refused
-before its coefficients fill memory; when a binomial is past one 64-bit
-word, each term visited is charged for the products it will write before it
-writes them.  The sweep also charges the increment terms a round stores,
-when the next round starts: the last round's are never read, so never
-charged.  So the work splits: the sweep is the one engine for depth, and
-`_image` the one engine for whole images; routing `mu` through the sweep
-would cost rounds times layers, which grows as cap^2 once an exponent
-passes the cap.
+`mu` takes every part below its cap (below the exponent sum + 1 when no
+exponent is negative: there are no terms past it).  `lcs_depth` and
+`in_dimension_subgroup` stop at the first part with a nonzero term, whose
+degree is the depth and whose lex-least term the witness: a nontrivial
+element has one in degree <= norm, so a caller's cap or k is a ceiling on
+the sweep, not a target.
+
+Work is summed over the rounds and charged by one rule (see
+MAX_KERNEL_WORK).  `_grow_binomials` charges each coefficient as it is
+built, so a huge exponent is refused before its coefficients fill memory;
+a term read with a binomial past one 64-bit word is charged for its
+products before they are written.  Each layer a round rebuilds or reads,
+and each stored increment term it adds back, is charged too, so a wide
+window is paid for even when empty; the last round's increments are never
+read, so never charged.  `mu` refuses up front an exponent whose
+constant-term extensions s^1 .. s^k alone would pass the budget.
 
 `GroupWord` and `Trace` stay the validated types at the boundary, and
 `TruncatedSeries` the read-only type of `mu`'s result: words are validated as
@@ -59,7 +59,6 @@ a product of binomial factors built from `math.comb`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 from .series import _CAP_MESSAGE, TruncatedSeries
@@ -69,14 +68,14 @@ from .words import (GroupWord, Trace, check_int, commuting_suffix_start,
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over all
 # the rounds of its degree sweep) may do: one unit per letter written into a
 # series term and per 64 bits of each binomial coefficient built, (u + 1) v
-# per product of coefficients of u and v extra 64-bit words written, plus 32
-# per term visited, about what a visit costs in time, and 32 per increment
-# term the sweep stores and a later round reads, so the budget bounds what
-# the sweep holds too.  The F2 left-normed commutator of weight 10 needs
-# about 21.6 million; weight 11 needs about 87 million, and is refused at
-# about 72 MiB peak RSS.
+# per product of coefficients of u and v extra 64-bit words written, plus 32,
+# about what a visit costs in time, per term visited, per layer a round
+# rebuilds or reads, and per stored increment term added back into a layer,
+# so the budget bounds what the sweep holds too.  The F2 left-normed
+# commutator of weight 10 needs about 21.9 million; weight 11 needs about
+# 87.5 million, and is refused at about 71 MiB peak RSS.
 MAX_KERNEL_WORK = 40_000_000
-_VISIT = 32  # units per term visited or stored
+_VISIT = 32  # units per term visited or added back, or layer rebuilt or read
 
 
 def syllable_factor(graph, s, e, cap):
@@ -115,85 +114,31 @@ def _grow_binomials(coeffs, e, top, work):
     return work
 
 
-def _image(graph, codes, cap):
-    """Kernel of `mu`: {lex-least int tuple: nonzero coefficient}, degrees < cap.
-
-    Multiplies 1 on the right by each syllable's (1 + s)^e in turn.  The
-    terms of degree cap - 1 go into `full`, summed but never visited again,
-    zero sums included, and join the image at the end; copying them with the
-    image at every syllable would make a long word's image quadratic in
-    their number.  Raises ValueError before a coefficient, a term visit or
-    an extension would take the work past MAX_KERNEL_WORK.
-    """
-    budget = MAX_KERNEL_WORK
-    masks = graph.masks
-    image, full = {(): 1}, {}
-    work = 0
-    for s, e in codes:
-        coeffs = [1]
-        start = work
-        work = _grow_binomials(coeffs, e, cap, work)
-        spans = None  # with a binomial past one 64-bit word: its extra words summed below j
-        if work > start:
-            spans = list(accumulate((b.bit_length() >> 6 for b in coeffs), initial=0))
-        size = len(coeffs)
-        mask = masks[s]
-        out = image.copy()  # the k = 0 terms
-        for t, c in image.items():
-            n = len(t)
-            top = min(size, cap - n)
-            work += _VISIT + (top - 1) * (n + n + top) // 2  # the visit, then t s^k for 0 < k < top
-            if spans:  # each product c * C(e, k): (u + 1) v units, u and v their extra words
-                work += ((c.bit_length() >> 6) + 1) * spans[top]
-            if work > budget:
-                raise _over_budget()
-            last = cap - 1 - n  # the k that lands in degree cap - 1
-            pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
-            head, tail = t[:pos], t[pos:]
-            for k in range(1, top):
-                head += (s,)
-                term = head + tail
-                into = full if k == last else out
-                into[term] = into.get(term, 0) + c * coeffs[k]
-        image = {t: c for t, c in out.items() if c}
-    image.update((t, c) for t, c in full.items() if c)
-    return image
-
-
-def mu(word, cap):
-    """Image of a word under generator -> 1 + generator, truncated below cap."""
-    check_int(cap, 1, _CAP_MESSAGE)
-    graph = word.graph
-    vertices = graph.vertices
-    image = _image(graph, _codes(word), cap)
-    terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): image[t]
-             for t in sorted(image, key=lambda t: (len(t), t))}
-    return TruncatedSeries._trusted(graph, cap, terms)
-
-
-def _first_term(graph, codes, top):
-    """The lex-least term of the image's least positive degree, or None if
-    the degrees 1 .. top - 1 all vanish: the degree sweep of the module
+def _degree_parts(graph, codes, top):
+    """Yields the image's degree-d part, {lex-least int tuple: coefficient}
+    with zero sums kept, for d = 1 .. top - 1: the degree sweep of the module
     docstring, one round per degree.  Raises ValueError before the work
     summed over its rounds would pass MAX_KERNEL_WORK.
     """
     if not codes:
-        return None
+        return
     budget = MAX_KERNEL_WORK
     masks = graph.masks
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
-    work = held = 0  # held: the terms the round before stored
+    work = 0
+    end = len(codes) - 1
     for d in range(1, top):
         for n, row in rows.items():
             if len(row) <= min(n, d):
                 work = _grow_binomials(row, n, d + 1, work)
-        work += held * _VISIT  # charged once a round will read them
-        if work > budget:
-            raise _over_budget()
         last = d - width  # no later round reads degree `last`
         layers = {j: {} for j in range(max(last, 1), d)}  # L_i^j as i advances
+        # each layer rebuilt and each stored term added back into it
+        work += _VISIT * (len(layers) + sum(len(delta) for j in layers for delta in steps[j]))
+        if work > budget:
+            raise _over_budget()
 
         def advance(i):
             # L_i -> L_(i + 1) in every layer this round reads
@@ -224,7 +169,7 @@ def _first_term(graph, codes, top):
                     delta[term] = delta.get(term, 0) + b
                     continue
                 layer = layers[d - k]
-                work += len(layer) * (_VISIT + d)  # a visit and d letters per term
+                work += _VISIT + len(layer) * (_VISIT + d)  # the read; a visit, d letters per term
                 v = b.bit_length() >> 6
                 if v:  # each product c * b: (u + 1) v units, u the extra words of c
                     work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
@@ -238,7 +183,7 @@ def _first_term(graph, codes, top):
                     else:  # s commutes with no suffix of t
                         term = t + ks
                     delta[term] = delta.get(term, 0) + c * b
-            if e > 0:
+            if e > 0 and i < end:  # nothing reads the layers past the last syllable
                 advance(i)
             if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
                 delta = {t: c for t, c in delta.items() if c}
@@ -247,12 +192,37 @@ def _first_term(graph, codes, top):
             stored.append(delta)
             for t, c in delta.items():
                 total[t] = total.get(t, 0) + c
-        positive = [t for t, c in total.items() if c]
-        if positive:
-            return min(positive)
+        yield total
         steps.pop(last, None)
         steps[d] = stored
-        held = sum(map(len, stored))
+
+
+def mu(word, cap):
+    """Image of a word under generator -> 1 + generator, truncated below cap."""
+    check_int(cap, 1, _CAP_MESSAGE)
+    graph = word.graph
+    vertices = graph.vertices
+    codes = _codes(word)
+    k = max((cap - 1 if e < 0 else min(e, cap - 1) for _, e in codes), default=0)
+    if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
+        raise _over_budget()
+    top = cap
+    if all(e > 0 for _, e in codes):  # no term past the sum of the exponents
+        top = min(cap, sum(e for _, e in codes) + 1)
+    image = {(): 1}
+    for part in _degree_parts(graph, codes, top):
+        image.update((t, part[t]) for t in sorted(part) if part[t])
+    terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): c for t, c in image.items()}
+    return TruncatedSeries._trusted(graph, cap, terms)
+
+
+def _first_term(graph, codes, top):
+    """The lex-least term of the image's least positive degree, or None if
+    the degrees 1 .. top - 1 all vanish."""
+    for part in _degree_parts(graph, codes, top):
+        positive = [t for t, c in part.items() if c]
+        if positive:
+            return min(positive)
     return None
 
 

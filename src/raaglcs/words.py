@@ -243,7 +243,8 @@ class Trace:
         return f"<Trace {self}>"
 
 
-_SYLLABLE_RE = re.compile(r"[A-Za-z0-9_]+(?:\^[+-]?\d+)?")
+# A bracket or comma, a syllable `gen` or `gen^E`, or any other non-space character.
+_TOKEN_RE = re.compile(r"([\[\],])|([A-Za-z0-9_]+)(?:\^([+-]?\d+))?|(\S)")
 
 # Each commutator level doubles a word, so nesting depth alone can make the
 # expansion exponential; a parsed word may hold at most this many syllables,
@@ -262,28 +263,17 @@ def parse_syllables(text):
     expanded without recursion, and a word whose expansion would exceed
     MAX_WORD_SYLLABLES syllables is rejected before it is built.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "[],":
-            tokens.append(ch)
-            pos += 1
-            continue
-        match = _SYLLABLE_RE.match(text, pos)
-        if not match:
-            raise ValueError(f"cannot parse word at {text[pos:pos + 12]!r}")
-        tokens.append(match.group(0))
-        pos = match.end()
+    tokens = list(_TOKEN_RE.finditer(text))
+    for match in tokens:
+        if match[4]:  # lexed before the brackets, so this error comes first
+            raise ValueError(f"cannot parse word at {text[match.start():match.start() + 12]!r}")
 
     # One frame per open bracket: the enclosing syllables and the enclosing
     # bracket's left operand (None until its ',' is seen).
     frames = []
     current, left = [], None
-    for token in tokens:
+    for match in tokens:
+        token = match[0]
         if token == "[":
             frames.append((current, left))
             current, left = [], None
@@ -307,7 +297,7 @@ def parse_syllables(text):
             current.extend((s, -e) for s, e in reversed(right))
             left = outer_left
         elif token != "1":
-            name, _, exp = token.partition("^")
+            name, exp = match[2], match[3]
             value = _digits(exp, "an exponent") if exp else 1
             if value == 0:
                 raise ValueError(f"zero exponent in {token!r}")

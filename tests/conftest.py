@@ -1,7 +1,7 @@
 """Shared fixtures-as-functions: small graphs, seeded random samplers, the
 brute-force swap-closure oracle used to pin canonical forms, Chiswell's
 growth series used to count enumerations, the generic series oracle for
-`mu`, the one-image reference for the depth sweep in `magnus`, and the
+`mu`, the one-image reference for the degree sweep in `magnus`, and the
 Hypothesis profiles."""
 
 import itertools
@@ -10,7 +10,8 @@ import os
 
 from hypothesis import settings
 
-from raaglcs import Graph, GroupWord, Trace, TruncatedSeries, magnus
+from raaglcs import Graph, GroupWord, Trace, TruncatedSeries
+from raaglcs.words import commuting_suffix_start, lex_insertion_point
 
 # CI runs with HYPOTHESIS_PROFILE=ci, so a failing property prints the blob
 # that replays it with @reproduce_failure.
@@ -160,13 +161,35 @@ def growth_series(graph, max_norm):
     return inverse
 
 
+def product_image(word, cap):
+    """The single-cap reference for the degree sweep in `magnus`: the word's
+    image below this one cap, not reduced first, as {lex-least letter codes:
+    nonzero coefficient}.  It multiplies 1 on the right by each syllable's
+    (1 + s)^e in turn, with binomials from math.comb and no work budget."""
+    graph = word.graph
+    image = {(): 1}
+    for s, e in word.syllables:
+        if not e:
+            continue
+        code = graph.index(s)
+        out = {}
+        for t, c in image.items():
+            pos = lex_insertion_point(t, code, commuting_suffix_start(t, graph.masks[code]))
+            for k in range(cap - len(t)):
+                b = math.comb(e, k) if e > 0 else (-1) ** k * math.comb(-e + k - 1, k)
+                if not b:  # k > e > 0
+                    break
+                term = t[:pos] + (code,) * k + t[pos:]
+                out[term] = out.get(term, 0) + c * b
+        image = {t: c for t, c in out.items() if c}
+    return image
+
+
 def image_at_one_cap(word, cap):
     """The single-cap reference for `lcs_depth` and `in_dimension_subgroup`:
-    the word's kernel image at this one cap, not reduced first, read as
-    (least positive term as (degree, letter codes) or None, image == 1)."""
-    graph = word.graph
-    codes = [(graph.index(s), e) for s, e in word.syllables if e]
-    image = magnus._image(graph, codes, cap)
+    `product_image` at this one cap, read as (least positive term as
+    (degree, letter codes) or None, image == 1)."""
+    image = product_image(word, cap)
     positive = [(len(t), t) for t in image if t]
     return min(positive, default=None), image == {(): 1}
 

@@ -170,6 +170,29 @@ def test_magnus_huge_coefficient_products_charged(tmp_path, capsys):
     assert captured.err == "error: series computation needs more than 40000000 units of work\n"
 
 
+def test_magnus_wide_window_charged(tmp_path, capsys):
+    # Each round rebuilds and reads every lower layer an exponent this large
+    # reaches, and is charged for each; the work budget refuses these before
+    # the sweep spends seconds on them or the answer fills memory.
+    path = f2_file(tmp_path)
+    for cap, word in (("2000", "a^99999999999999"), ("60", "a^30 b^-30 a^30 b^30")):
+        start = time.perf_counter()
+        assert run(["magnus", "--graph", path, "--cap", cap, word]) == 2
+        assert time.perf_counter() - start < 3.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: series computation needs more than 40000000 units of work\n"
+
+
+def test_magnus_positive_word_at_huge_cap(tmp_path, capsys):
+    # A word with no negative exponent has no term past the sum of its
+    # exponents, so the sweep stops there, not at the cap.
+    start = time.perf_counter()
+    assert run(["magnus", "--graph", f2_file(tmp_path), "--cap", "100000000", "a b"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "1 + 1*a + 1*b + 1*a*b\n"
+
+
 def test_magnus_coefficient_past_print_limit_exit_two(tmp_path, capsys):
     # C(E, 2) has 4,400 digits; Python prints no int of more than 4,300.
     e = "9" * 2200

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (c4, f2, generic_mu, image_at_one_cap, k3_minus_edge, p3,
-                      piling_norm, random_graph, swap_closure_lex_min)
+                      piling_norm, product_image, random_graph, swap_closure_lex_min)
 from raaglcs import (DepthResult, Graph, GroupWord, Trace, commutator,
                      in_dimension_subgroup, lcs_depth, mu)
 
@@ -195,3 +195,7 @@ def test_degree_sweep_matches_one_image(rng, data):
             witness = Trace(graph, [graph.vertices[a] for a in letters])
             assert result == DepthResult.exact(degree, witness) == default
         assert in_dimension_subgroup(word, cap) == is_one
+        image = product_image(word, cap)  # mu takes every degree the sweep yields
+        assert list(mu(word, cap).terms.items()) == [
+            (Trace(graph, [graph.vertices[a] for a in t]), image[t])
+            for t in sorted(image, key=lambda t: (len(t), t))]

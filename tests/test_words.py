@@ -277,3 +277,10 @@ def test_parse_bracket_errors():
                           ("a, b", "unexpected ','"), ("a]", "unexpected ']'")]:
         with pytest.raises(ValueError, match=message):
             parse_syllables(text)
+
+
+def test_parse_lexical_error_beats_earlier_bracket_error():
+    # Every token is lexed before the brackets are matched.
+    with pytest.raises(ValueError) as raised:
+        parse_syllables(", é")
+    assert str(raised.value) == "cannot parse word at 'é'"
