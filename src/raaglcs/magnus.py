@@ -25,14 +25,15 @@ degrees:
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
 layers, with L^0 = 1 read as the constant term, never copied.  Each round
-rebuilds the running layers L_i^j, d - max|e| <= j < d, by adding up the
-increments stored for those degrees as i advances, and frees an increment
-once the last round that reads it has; a long word holds increments, never
-a whole layer per syllable.  Round d's part is the final L^d, the sum of
-its increments, and each degree is computed once.
+rebuilds the running layers L_i^j, d - max|e| <= j < d, from the increments
+stored for those degrees, each only as far in i as a read needs, and frees
+an increment once the last round that reads it has: a long word holds
+increments, never a whole layer per syllable, and none of a positive last
+syllable, which no read reaches past.  Round d's part is the final L^d, the
+sum of its increments; with no negative exponent there is no term past the
+exponent sum, and the sweep stops there.
 
-`mu` takes every part below its cap (below the exponent sum + 1 when no
-exponent is negative: there are no terms past it).  `lcs_depth` and
+`mu` takes every part below its cap.  `lcs_depth` and
 `in_dimension_subgroup` stop at the first part with a nonzero term, whose
 degree is the depth and whose lex-least term the witness: a nontrivial
 element has one in degree <= norm, so a caller's cap or k is a ceiling on
@@ -42,10 +43,10 @@ Work is summed over the rounds and charged by one rule (see
 MAX_KERNEL_WORK).  `_grow_binomials` charges each coefficient as it is
 built, so a huge exponent is refused before its coefficients fill memory;
 a term read with a binomial past one 64-bit word is charged for its
-products before they are written.  Each layer a round rebuilds or reads,
-and each stored increment term it adds back, is charged too, so a wide
-window is paid for even when empty; the last round's increments are never
-read, so never charged.  `mu` refuses up front an exponent whose
+products before they are written.  Each layer read, empty or not, and
+each stored increment term added back into a layer, is charged too, so a
+wide window is paid for even when empty; the last round's increments are
+never read, so never charged.  `mu` refuses up front an exponent whose
 constant-term extensions s^1 .. s^k alone would pass the budget.
 
 `GroupWord` and `Trace` stay the validated types at the boundary, and
@@ -69,13 +70,13 @@ from .words import (GroupWord, Trace, check_int, commuting_suffix_start,
 # the rounds of its degree sweep) may do: one unit per letter written into a
 # series term and per 64 bits of each binomial coefficient built, (u + 1) v
 # per product of coefficients of u and v extra 64-bit words written, plus 32,
-# about what a visit costs in time, per term visited, per layer a round
-# rebuilds or reads, and per stored increment term added back into a layer,
-# so the budget bounds what the sweep holds too.  The F2 left-normed
-# commutator of weight 10 needs about 21.9 million; weight 11 needs about
-# 87.5 million, and is refused at about 71 MiB peak RSS.
+# about what a visit costs in time, per term visited, per layer read, and
+# per stored increment term added back into a layer, so the budget bounds
+# what the sweep holds too.  The F2 left-normed commutator of weight 10
+# needs about 21.9 million; weight 11 needs about 87.5 million, and is
+# refused at about 74 MiB peak RSS.
 MAX_KERNEL_WORK = 40_000_000
-_VISIT = 32  # units per term visited or added back, or layer rebuilt or read
+_VISIT = 32  # units per term visited or added back, or layer read
 
 
 def syllable_factor(graph, s, e, cap):
@@ -116,50 +117,32 @@ def _grow_binomials(coeffs, e, top, work):
 
 def _degree_parts(graph, codes, top):
     """Yields the image's degree-d part, {lex-least int tuple: coefficient}
-    with zero sums kept, for d = 1 .. top - 1: the degree sweep of the module
-    docstring, one round per degree.  Raises ValueError before the work
-    summed over its rounds would pass MAX_KERNEL_WORK.
+    with zero sums kept, for d = 1 .. top - 1 (fewer with no negative
+    exponent): the degree sweep of the module docstring.  Raises ValueError
+    before the work summed over its rounds would pass MAX_KERNEL_WORK.
     """
     if not codes:
         return
+    if all(e > 0 for _, e in codes):
+        top = min(top, sum(e for _, e in codes) + 1)
     budget = MAX_KERNEL_WORK
     masks = graph.masks
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
     work = 0
-    end = len(codes) - 1
     for d in range(1, top):
         for n, row in rows.items():
             if len(row) <= min(n, d):
                 work = _grow_binomials(row, n, d + 1, work)
         last = d - width  # no later round reads degree `last`
-        layers = {j: {} for j in range(max(last, 1), d)}  # L_i^j as i advances
-        # each layer rebuilt and each stored term added back into it
-        work += _VISIT * (len(layers) + sum(len(delta) for j in layers for delta in steps[j]))
-        if work > budget:
-            raise _over_budget()
-
-        def advance(i):
-            # L_i -> L_(i + 1) in every layer this round reads
-            for j, layer in layers.items():
-                increments = steps[j]
-                for t, c in increments[i].items():
-                    c += layer.get(t, 0)
-                    if c:
-                        layer[t] = c
-                    else:
-                        del layer[t]
-                if j == last:
-                    increments[i] = None
-
+        layers = {}  # degree j -> [i, L_i^j], brought only as far as a read needs
         stored, total = [], {}
         for i, (s, e) in enumerate(codes):
-            if e < 0:  # that recurrence reads L_(i + 1)
-                advance(i)
             n = abs(e)
             row = rows[n]
             mask = masks[s]
+            at = i if e > 0 else i + 1  # the recurrence reads L_i, or L_(i + 1)
             delta = {}
             for k in range(1, min(n, d) + 1):
                 b = row[k] if e > 0 else -row[k]
@@ -168,8 +151,26 @@ def _degree_parts(graph, codes, top):
                     term = (s,) * d
                     delta[term] = delta.get(term, 0) + b
                     continue
-                layer = layers[d - k]
+                j = d - k
+                start, layer = entry = layers.setdefault(j, [0, {}])
+                if start < at:  # add the increments D_start^j .. D_(at - 1)^j back
+                    increments = steps[j]
+                    work += _VISIT * sum(len(increments[q]) for q in range(start, at))
+                    if work > budget:
+                        raise _over_budget()
+                    for q in range(start, at):
+                        for t, c in increments[q].items():
+                            c += layer.get(t, 0)
+                            if c:
+                                layer[t] = c
+                            else:
+                                del layer[t]
+                        if j == last:
+                            increments[q] = None
+                    entry[0] = at
                 work += _VISIT + len(layer) * (_VISIT + d)  # the read; a visit, d letters per term
+                if not layer:
+                    continue
                 v = b.bit_length() >> 6
                 if v:  # each product c * b: (u + 1) v units, u the extra words of c
                     work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
@@ -183,13 +184,12 @@ def _degree_parts(graph, codes, top):
                     else:  # s commutes with no suffix of t
                         term = t + ks
                     delta[term] = delta.get(term, 0) + c * b
-            if e > 0 and i < end:  # nothing reads the layers past the last syllable
-                advance(i)
             if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
                 delta = {t: c for t, c in delta.items() if c}
             if work > budget:
                 raise _over_budget()
-            stored.append(delta)
+            if e < 0 or i < len(codes) - 1:  # no read reaches past a positive last syllable
+                stored.append(delta)
             for t, c in delta.items():
                 total[t] = total.get(t, 0) + c
         yield total
@@ -206,12 +206,10 @@ def mu(word, cap):
     k = max((cap - 1 if e < 0 else min(e, cap - 1) for _, e in codes), default=0)
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()
-    top = cap
-    if all(e > 0 for _, e in codes):  # no term past the sum of the exponents
-        top = min(cap, sum(e for _, e in codes) + 1)
+    parts = list(_degree_parts(graph, codes, cap))  # a refused sweep sorts nothing
     image = {(): 1}
-    for part in _degree_parts(graph, codes, top):
-        image.update((t, part[t]) for t in sorted(part) if part[t])
+    for part in parts:
+        image.update(sorted((t, c) for t, c in part.items() if c))
     terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): c for t, c in image.items()}
     return TruncatedSeries._trusted(graph, cap, terms)
 

@@ -519,8 +519,8 @@ def run_python(args, cwd, preexec_fn=None):
 
 def test_depth_refusal_fits_an_address_space_limit(tmp_path):
     # F2 weight 11: the depth sweep charges the increments a round stores to
-    # the work budget when the next round starts, so it is refused at about
-    # 72 MiB; without that charge it would reach about 100 MiB first.
+    # the work budget as the next round adds them back, so it is refused at
+    # about 72 MiB; without that charge it would reach about 100 MiB first.
     word = "a"
     for _ in range(10):
         word = f"[{word},b]"

@@ -174,6 +174,25 @@ def test_weight_ten_witness_fits_the_budget():
     assert lcs_depth(commutator_witness(f2(), 10)).depth == 10
 
 
+def test_wide_positive_window_fits_the_budget():
+    # A round brings each lower layer only as far as a syllable reads it and
+    # stores nothing of a positive last syllable, so two big positive
+    # syllables cost about what their product does.
+    image = mu(GroupWord(f2(), [("a", 150), ("b", 150)]), 200)
+    assert len(image.terms) == sum(min(150, 199 - x) + 1 for x in range(151))
+    for x, y in ((0, 0), (1, 148), (49, 150), (150, 49), (75, 75)):
+        expected = math.comb(150, x) * math.comb(150, y)
+        assert image.coefficient(Trace(f2(), "a" * x + "b" * y)) == expected
+
+
+def test_negative_exponent_after_growth_refused():
+    # A syllable s^-n reads n layers of its own output L_(i+1) each round,
+    # where a product by (1 + s)^-n would read its input: a^100 b^-100 at
+    # cap 150 is refused, though its image has only 10,100 terms.
+    with pytest.raises(ValueError, match="units of work"):
+        mu(GroupWord(f2(), [("a", 100), ("b", -100)]), 150)
+
+
 def test_default_depth_matches_full_cap():
     rng = random.Random(34)
     for _ in range(100):

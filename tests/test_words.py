@@ -274,13 +274,7 @@ def test_parse_size_bound_is_exact():
 def test_parse_bracket_errors():
     for text, message in [("[a b]", "expected ','"), ("[a", "expected ','"),
                           ("[a,b", "expected ']'"), ("[a,b,c]", "expected ']'"),
-                          ("a, b", "unexpected ','"), ("a]", "unexpected ']'")]:
+                          ("a, b", "unexpected ','"), ("a]", "unexpected ']'"),
+                          (", é", "cannot parse word at 'é'")]:
         with pytest.raises(ValueError, match=message):
             parse_syllables(text)
-
-
-def test_parse_lexical_error_beats_earlier_bracket_error():
-    # Every token is lexed before the brackets are matched.
-    with pytest.raises(ValueError) as raised:
-        parse_syllables(", é")
-    assert str(raised.value) == "cannot parse word at 'é'"
