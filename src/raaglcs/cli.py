@@ -173,8 +173,9 @@ def _dispatch(args):
         return 0
 
     if args.command == "enum":
-        for word in enumerate_elements(graph, _default_max_norm(args, graph)):
-            print(word)
+        words = enumerate_elements(graph, _default_max_norm(args, graph))
+        if words:  # an empty ball prints nothing, not an empty line
+            print("\n".join(map(str, words)))
         return 0
 
     if args.command == "dfun":
@@ -187,8 +188,7 @@ def _dispatch(args):
 
     if args.command == "verify":
         report = verify_depth_bound(graph, _default_max_norm(args, graph))
-        for line in report.lines():
-            print(line)
+        print("\n".join(report.lines()))
         return 0 if report.passed else 1
 
     if args.command == "surface-phi":

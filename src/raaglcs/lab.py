@@ -21,24 +21,30 @@ comes out in lex order with no sort.  Spheres are streamed in increasing
 norm: the depth function stops at its first hit, and the depth <= norm
 sweep never holds the ball.
 
-Each stack entry also carries its prefix's exponent sum per generator and
-ab_norm, the sum of their absolute values; an element has a nonzero ab_norm
-exactly when it lies outside [G, G] = gamma_2, the kernel of
-abelianisation, so the depth <= norm sweep gives it depth 1 at once and
-only the other elements need `lcs_depth`.  For k >= 2 the depth function
-wants elements of gamma_k, inside gamma_2, so it skips a subtree whose
-prefix has ab_norm above the norm left to spend.  That is exact: a
-syllable s^e moves ab_norm by at most |e|, the exponents still to come add
-up to the norm left, so no element below such a prefix has ab_norm 0.  The
-elements that remain come out in the same order, so the first hit and its
-witness are those of the full scan.  Both searches ask `magnus` only its
-public questions, `lcs_depth` and `in_dimension_subgroup`, of the elements
-the walk yields.
+A generator whose syllable leaves every generator forbidden ends the word,
+so the walk places only its exponents +-left there; on a one-vertex graph a
+sphere costs two stack entries, not 2 * norm.
 
-The ball's size is known before anything is generated, from the spherical
-growth series 1 / sum_k c_k (-2t / (1 + t))^k, c_k the number of k-vertex
-cliques (Chiswell 1994, The growth series of a graph product); every search
-rejects a ball of more than MAX_BALL_ELEMENTS elements up front.
+The derived walk yields only the elements of [G, G] = gamma_2, the kernel
+of abelianisation.  Each of its stack entries also carries its prefix's
+exponent sum per generator and ab_norm, the sum of their absolute values,
+and it skips a subtree whose prefix has ab_norm above the norm left to
+spend.  That is exact: a syllable s^e moves ab_norm by at most |e|, the
+exponents still to come add up to the norm left, so no element below such a
+prefix has ab_norm 0.  The elements that remain come out in the same order.
+For k >= 2 the depth function wants elements of gamma_k, inside gamma_2, so
+it scans the derived walk, and its first hit and witness are those of the
+full scan.  The depth <= norm sweep runs `lcs_depth` on the derived walk
+alone: every other element has depth 1, and their number per norm is the
+sphere's size less the elements walked.  Both searches ask `magnus` only
+its public questions, `lcs_depth` and `in_dimension_subgroup`, of the
+elements the walk yields.
+
+Each sphere's size is known before anything is generated, from the
+spherical growth series 1 / sum_k c_k (-2t / (1 + t))^k, c_k the number of
+k-vertex cliques (Chiswell 1994, The growth series of a graph product);
+every search rejects a ball of more than MAX_BALL_ELEMENTS elements up
+front.
 """
 
 from __future__ import annotations
@@ -56,9 +62,12 @@ from .words import GroupWord, check_int, commutator
 MAX_BALL_ELEMENTS = 200_000
 
 
-def ball_size(graph, max_norm, cap):
-    """min(cap + 1, number of elements of norm <= max_norm, the identity included).
+def _sphere_sizes(graph, max_norm, cap):
+    """[size of the sphere of norm n for n = 0, 1, ...], or None once their
+    sum passes cap.
 
+    The list runs to max_norm, or to the first empty sphere, which comes
+    only from a graph with no vertices: every later sphere is empty too.
     Multiplying Chiswell's series through by (1 + t)^D, D the largest
     clique counted, leaves a quotient of integer polynomials whose
     denominator has constant term c_0 = 1, divided here as exact power
@@ -83,7 +92,7 @@ def ball_size(graph, max_norm, cap):
             cliques[size + 1] += 1
             total += 1
             if total > cap:
-                return cap + 1
+                return None
             stack.append((size + 1, candidates & masks[v]))
     top = len(cliques) - 1
     den = [0] * (top + 1)
@@ -97,68 +106,78 @@ def ball_size(graph, max_norm, cap):
                                           for j in range(1, min(n, top) + 1)))
         total += spheres[n]
         if total > cap:
-            return cap + 1
+            return None
         if not spheres[n]:
-            break  # a sphere is empty only when every later one is too
-    return total
+            break
+    return spheres
+
+
+def ball_size(graph, max_norm, cap):
+    """min(cap + 1, number of elements of norm <= max_norm, the identity included)."""
+    spheres = _sphere_sizes(graph, max_norm, cap)
+    return cap + 1 if spheres is None else sum(spheres)
+
+
+def _ball(graph, max_norm):
+    """The sphere sizes of `_sphere_sizes` for the ball of norm <= max_norm.
+
+    Every search calls this before it walks a sphere: a ball of more than
+    MAX_BALL_ELEMENTS elements raises ValueError here.  The search then
+    walks the spheres of norm 1 to len(list) - 1 in increasing norm, each by
+    `_sphere`, whose syllables come out canonical, with nothing to re-reduce.
+    """
+    check_int(max_norm, 0, "max_norm must be >= 0")
+    spheres = _sphere_sizes(graph, max_norm, MAX_BALL_ELEMENTS)
+    if spheres is None:
+        raise ValueError(f"the ball of norm <= {max_norm} has more than "
+                         f"{MAX_BALL_ELEMENTS} elements; lower the norm bound")
+    return spheres
 
 
 def _sphere(graph, norm, derived=False):
-    """(syllables, ab_norm) for the canonical syllable tuples of norm exactly
-    `norm` (>= 1), in lex order; ab_norm is the sum of |exponent sum| over
-    the generators (see the module docstring).  With `derived` only the
-    elements of [G, G], those with ab_norm 0, come out: a subtree is skipped
-    when its prefix's ab_norm exceeds the norm left to spend.
+    """The canonical syllable tuples of norm exactly `norm` (>= 1), in lex
+    order.  With `derived` only the elements of [G, G] come out: a subtree
+    is skipped when its prefix's ab_norm exceeds the norm left to spend
+    (see the module docstring).
     """
     masks = graph.masks
     vertices = graph.vertices
     dead = (1 << len(vertices)) - 1
     # (prefix, forbidden, norm left, generator of the last syllable, the
-    # parent's exponent sums {generator index: sum}, the prefix's ab_norm)
+    # parent's exponent sums {generator index: sum}, the prefix's ab_norm);
+    # the sums and ab_norm are kept only by the derived walk.
     stack = [((), 0, norm, None, {}, 0)]
     while stack:
         syllables, forbidden, left, last, sums, ab_norm = stack.pop()
         if not left:
-            yield syllables, ab_norm
+            yield syllables
             continue
-        if syllables:  # shared with the siblings: copy before adding the last syllable
+        if derived and syllables:  # shared with the siblings: copy before adding the last syllable
             sums = {**sums, last: sums.get(last, 0) + syllables[-1][1]}
+        exponents = None
         # Children go on the stack in reverse, so they come off ascending.
-        exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
         for g in range(len(vertices) - 1, -1, -1):
             if forbidden >> g & 1:
                 continue
             after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
+            if after == dead:
+                ends = (left, -left)  # nothing may follow: only the last syllable fits
+            else:
+                if exponents is None:
+                    exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
+                ends = exponents
             name = vertices[g]
+            if not derived:
+                for e in ends:
+                    stack.append((syllables + ((name, e),), after, left - abs(e), g, sums, 0))
+                continue
             c = sums.get(g, 0)
             others = ab_norm - abs(c)
-            for e in exponents:
+            for e in ends:
                 rest = left - abs(e)
-                if rest and after == dead:
-                    continue
                 moved = others + abs(c + e)
-                if derived and moved > rest:
-                    continue  # its abelianisation cannot return to 0
-                stack.append((syllables + ((name, e),), after, rest, g, sums, moved))
-
-
-def _elements(graph, max_norm, derived=False):
-    """Stream of (norm, syllables, ab_norm) for the nontrivial elements of
-    norm <= max_norm, in (norm, lex) order; `derived` as in `_sphere`.
-
-    The ball is checked against MAX_BALL_ELEMENTS here, before the first
-    element is made; the syllables come out canonical, with nothing to
-    re-reduce.
-    """
-    check_int(max_norm, 0, "max_norm must be >= 0")
-    size = ball_size(graph, max_norm, MAX_BALL_ELEMENTS)
-    if size > MAX_BALL_ELEMENTS:
-        raise ValueError(f"the ball of norm <= {max_norm} has more than "
-                         f"{MAX_BALL_ELEMENTS} elements; lower the norm bound")
-    if size == 1:
-        return iter(())  # only the identity: max_norm 0, or a graph with no vertices
-    return ((norm, syllables, ab_norm) for norm in range(1, max_norm + 1)
-            for syllables, ab_norm in _sphere(graph, norm, derived))
+                if moved <= rest:  # else its abelianisation cannot return to 0
+                    stack.append((syllables + ((name, e),), after, rest, g, sums, moved))
 
 
 def enumerate_elements(graph, max_norm):
@@ -169,8 +188,10 @@ def enumerate_elements(graph, max_norm):
     canonicalized, deduplicated or sorted.  A ball of more than
     MAX_BALL_ELEMENTS elements raises ValueError before any is generated.
     """
+    spheres = _ball(graph, max_norm)
     trusted = GroupWord._trusted
-    return [trusted(graph, syllables) for _, syllables, _ in _elements(graph, max_norm)]
+    return [trusted(graph, syllables) for norm in range(1, len(spheres))
+            for syllables in _sphere(graph, norm)]
 
 
 @dataclass(frozen=True)
@@ -204,10 +225,12 @@ def depth_function(graph, k, max_norm):
     if k > max_norm:
         # depth <= norm, so d(k) >= k: nothing to walk
         return DepthFunctionRow(k, "at_least", max_norm + 1)
-    for norm, syllables, _ in _elements(graph, max_norm, k >= 2):
-        word = GroupWord._trusted(graph, syllables)
-        if in_dimension_subgroup(word, k):
-            return DepthFunctionRow(k, "exact", norm, word)
+    spheres = _ball(graph, max_norm)
+    for norm in range(1, len(spheres)):
+        for syllables in _sphere(graph, norm, k >= 2):
+            word = GroupWord._trusted(graph, syllables)
+            if in_dimension_subgroup(word, k):
+                return DepthFunctionRow(k, "exact", norm, word)
     return DepthFunctionRow(k, "at_least", max_norm + 1)
 
 
@@ -262,22 +285,24 @@ class VerifyReport:
 def verify_depth_bound(graph, max_norm):
     """Check depth <= norm for every nontrivial element of norm <= max_norm.
 
-    Tallies the (norm, depth) histogram and collects violations as the
-    elements stream past: a nonzero sum of |exponent sums| means depth 1,
-    and only the other elements go through `lcs_depth`.  Complete graphs are allowed (a
-    degenerate run where every depth is 1).
+    Only the elements of [G, G] are walked, by the derived walk of
+    `_sphere`, and go through `lcs_depth`.  Every other element has depth 1,
+    and each sphere's count of them is its size from the growth series less
+    the elements walked, so none of them is generated.  Complete graphs are
+    allowed (a degenerate run where every depth is 1).
     """
+    spheres = _ball(graph, max_norm)
     cells = {}
     violations = []
-    checked = 0
-    for n, syllables, ab_norm in _elements(graph, max_norm):
-        if ab_norm:
-            d = 1  # a nonzero abelianisation: outside [G, G]
-        else:
+    for n in range(1, len(spheres)):
+        inside = 0
+        for syllables in _sphere(graph, n, True):
             word = GroupWord._trusted(graph, syllables)
             d = lcs_depth(word).depth
             if d > n:
                 violations.append((word, n, d))
-        checked += 1
-        cells[(n, d)] = cells.get((n, d), 0) + 1
-    return VerifyReport(max_norm, checked, cells, violations)
+            inside += 1
+            cells[(n, d)] = cells.get((n, d), 0) + 1
+        if spheres[n] > inside:  # a nonzero abelianisation: depth 1
+            cells[(n, 1)] = cells.get((n, 1), 0) + spheres[n] - inside
+    return VerifyReport(max_norm, sum(spheres[1:]), cells, violations)

@@ -118,8 +118,12 @@ class GroupWord:
     def __str__(self):
         if not self.syllables:
             return "1"
-        return " ".join(s if e == 1 else f"{s}^{_digits(e, 'an exponent')}"
-                        for s, e in self.syllables)
+        try:
+            return " ".join(s if e == 1 else f"{s}^{e}" for s, e in self.syllables)
+        except ValueError:  # an exponent past the integer print limit
+            for _, e in self.syllables:
+                _digits(e, "an exponent")
+            raise
 
     def __repr__(self):
         return f"<GroupWord {self}>"

@@ -106,6 +106,25 @@ def test_verify_passes(tmp_path, capsys):
     assert lines[-1] == "PASS"
 
 
+def test_one_vertex_walk_is_linear_in_the_norm(tmp_path, capsys):
+    # 199,999 elements, inside the ball bound; a walk that tried every
+    # exponent at every node took minutes here.
+    path = graph_file(tmp_path, "vertices: a\n")
+    start = time.perf_counter()
+    assert run(["enum", "--graph", path, "--max-norm", "99999"]) == 0
+    assert run(["verify", "--graph", path, "--max-norm", "99999"]) == 0
+    assert time.perf_counter() - start < 30.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["a^-1", "a"]
+    assert lines[199_996:199_999] == ["a^-99999", "a^99999", "norm=1 depth=1 count=2"]
+    assert lines[-3:] == ["norm=99999 depth=1 count=2", "checked=199998 max_norm=99999", "PASS"]
+
+
+def test_enum_empty_ball_prints_nothing(tmp_path, capsys):
+    assert run(["enum", "--graph", graph_file(tmp_path, "vertices:\n"), "--max-norm", "3"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_search_budget_exit_two(tmp_path, capsys):
     c4 = graph_file(tmp_path, "vertices: a b c d\nedges: a-b b-c c-d d-a\n")
     for argv in (["enum"], ["verify"], ["dfun", "--k", "3"]):

@@ -102,13 +102,26 @@ def test_ball_size_matches_growth_series():
     assert lab.ball_size(c4(), 6, 1000) == 1001  # counting stops past the cap
 
 
+def test_sphere_sizes_match_reference():
+    for graph in (f2(), z2(), p3(), c4(), k3(), k3_minus_edge()):
+        by_norm = [1, 0, 0, 0, 0]
+        for w in reference_elements(graph, 4):
+            by_norm[w.norm()] += 1
+        assert lab._sphere_sizes(graph, 4, 10 ** 9) == by_norm
+        assert lab._sphere_sizes(graph, 7, 10 ** 9) == growth_series(graph, 7)
+    assert lab._sphere_sizes(c4(), 6, 11665) == growth_series(c4(), 6)
+    assert lab._sphere_sizes(c4(), 6, 11664) is None  # one past the cap
+    # stops at the first empty sphere, however far max_norm reaches
+    assert lab._sphere_sizes(Graph([]), 10 ** 9, 10) == [1, 0]
+
+
 def test_budget_admits_documented_runs():
     assert lab.ball_size(c4(), 7, lab.MAX_BALL_ELEMENTS) == 40825
     assert lab.ball_size(f2(), 8, lab.MAX_BALL_ELEMENTS) == 13121
 
 
 def test_budget_rejects_before_generating(monkeypatch):
-    def unreachable(graph, norm):
+    def unreachable(graph, norm, derived=False):
         raise AssertionError("a sphere was generated")
 
     monkeypatch.setattr(lab, "_sphere", unreachable)
@@ -162,9 +175,9 @@ def test_depth_function_stops_at_first_hit(monkeypatch):
     sphere = lab._sphere
 
     def counting(*args):
-        for syllables, ab_norm in sphere(*args):
+        for syllables in sphere(*args):
             pulled.append(syllables)
-            yield syllables, ab_norm
+            yield syllables
 
     monkeypatch.setattr(lab, "_sphere", counting)
     row = depth_function(f2(), 3, 8)
@@ -246,6 +259,32 @@ def test_verify_report_lines():
     assert f"checked={report.checked} max_norm=2" in lines
 
 
+def test_verify_walks_only_the_derived_tree(monkeypatch):
+    sphere = lab._sphere
+    walked = []
+
+    def recording(graph, norm, derived=False):
+        walked.append((norm, derived))
+        return sphere(graph, norm, derived)
+
+    monkeypatch.setattr(lab, "_sphere", recording)
+    report = verify_depth_bound(c4(), 6)
+    assert walked == [(n, True) for n in range(1, 7)]
+    assert report.checked == 11664
+    assert sum(c for (_, d), c in report.cells.items() if d > 1) == 96
+
+
+def test_verify_counted_reports():
+    report = verify_depth_bound(Graph([]), 10 ** 9)
+    assert report.lines() == ["checked=0 max_norm=1000000000", "PASS"]
+    assert verify_depth_bound(z2(), 4).lines() == [
+        "norm=1 depth=1 count=4", "norm=2 depth=1 count=8", "norm=3 depth=1 count=12",
+        "norm=4 depth=1 count=16", "checked=40 max_norm=4", "PASS"]
+    assert verify_depth_bound(k3(), 3).lines() == [
+        "norm=1 depth=1 count=6", "norm=2 depth=1 count=18", "norm=3 depth=1 count=38",
+        "checked=62 max_norm=3", "PASS"]
+
+
 def test_verify_lines_match_reference():
     for graph, max_norm in ((f2(), 6), (p3(), 5), (c4(), 5), (k3_minus_edge(), 5)):
         cells = {}
@@ -296,17 +335,12 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
     assert report.cells == cells
     assert [(w.syllables, n, d) for w, n, d in report.violations] == violations
 
-    # each element's carried ab_norm against the degree-1 part of its image
-    # built from scratch, and the pruned walk against the elements whose
-    # ab_norm is 0
+    # the pruned walk against the elements whose image, built from scratch,
+    # has no degree-1 part: the elements of [G, G], in the same order
     for norm in range(1, max_norm + 1):
-        derived = []
-        for syllables, ab_norm in lab._sphere(graph, norm):
-            image = mu(GroupWord(graph, syllables), 2)
-            assert ab_norm == sum(abs(c) for t, c in image.terms.items() if t.length == 1)
-            if not ab_norm:
-                derived.append(syllables)
-        assert list(lab._sphere(graph, norm, True)) == [(s, 0) for s in derived]
+        derived = [syllables for syllables in lab._sphere(graph, norm)
+                   if not any(t.length == 1 for t in mu(GroupWord(graph, syllables), 2).terms)]
+        assert list(lab._sphere(graph, norm, True)) == derived
 
 
 def exponent_sums_vanish(word):
