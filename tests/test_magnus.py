@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (f2, image_at_one_cap, p3, random_graph, random_word, series_one,
                       z2)
+from raaglcs import magnus
 from raaglcs import (DepthResult, GroupWord, Trace, TruncatedSeries, commutator,
                      commutator_witness, in_dimension_subgroup, lcs_depth, mu,
                      parse_word, syllable_factor)
@@ -266,3 +267,21 @@ def test_left_normed_commutators_reach_weight():
         assert not word.is_identity()
         assert in_dimension_subgroup(word, k)
         word = commutator(word, step).reduced()
+
+
+# --- the kernel's charges ---
+
+@pytest.mark.parametrize("query, units", [
+    (lambda: lcs_depth(commutator_witness(f2(), 8)), 1_363_252),
+    (lambda: mu(parse_word("a^3 b^-4 a^5", f2()), 12), 18_940),
+    (lambda: mu(parse_word("a^99999999999999 b", f2()), 30), 17_790),  # binomials past 64 bits
+    (lambda: in_dimension_subgroup(parse_word("[[a,b^2],a^-3]", f2()), 5), 3_210),
+])
+def test_kernel_charges_are_pinned(monkeypatch, query, units):
+    # The least budget each query runs in: a change to what the kernel
+    # charges, or where it checks, moves it.
+    monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", units)
+    query()
+    monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", units - 1)
+    with pytest.raises(ValueError, match="units of work"):
+        query()
