@@ -33,26 +33,27 @@ syllable, which no read reaches past.  Round d's part is the final L^d, the
 sum of its increments; with no negative exponent there is no term past the
 exponent sum, and the sweep stops there.
 
-`mu` takes every part below its cap.  `lcs_depth` and
-`in_dimension_subgroup` stop at the first part with a nonzero term, whose
-degree is the depth and whose lex-least term the witness: a nontrivial
-element has one in degree <= norm, so a caller's cap or k is a ceiling on
-the sweep, not a target.
+`mu` takes every part below its cap.  `lcs_depth` stops at the first part
+with a nonzero term, whose degree is the depth and whose lex-least term the
+witness: a nontrivial element has one in degree <= norm, so a caller's cap
+is a ceiling on the sweep, not a target.  `in_dimension_subgroup(word, k)`
+is `lcs_depth` with k as that ceiling.
 
 Work is summed over the rounds and charged by one rule (see
-MAX_KERNEL_WORK).  `_grow_binomials` charges each coefficient as it is
-built, so a huge exponent is refused before its coefficients fill memory;
-a term read with a binomial past one 64-bit word is charged for its
-products before they are written.  Each layer read, empty or not, and
-each stored increment term added back into a layer, is charged too, so a
-wide window is paid for even when empty; the last round's increments are
-never read, so never charged.  `mu` refuses up front an exponent whose
-constant-term extensions s^1 .. s^k alone would pass the budget.
+MAX_KERNEL_WORK).  Round d builds C(n, d) for each |e| = n >= d and
+charges it as it is built, so a huge exponent is refused before its
+coefficients fill memory; a term read with a binomial past one 64-bit word
+is charged for its products before they are written.  Each layer read,
+empty or not, and each stored increment term added back into a layer, is
+charged too, so a wide window is paid for even when empty; the last
+round's increments are never read, so never charged.  `mu` refuses up
+front an exponent whose constant-term extensions s^1 .. s^k alone would
+pass the budget.
 
 `GroupWord` and `Trace` stay the validated types at the boundary, and
 `TruncatedSeries` the read-only type of `mu`'s result: words are validated as
 they are built, the kernel trusts its own canonical tuples, `mu` converts its
-image once at exit, and `lcs_depth` builds a single `Trace`, for the witness.
+image once at exit, and `lcs_depth` wraps the kernel's witness tuple as is.
 No library path runs generic series arithmetic; the tests check `mu` against
 a product of binomial factors built from `math.comb`.
 """
@@ -97,24 +98,6 @@ def _over_budget():
     return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
 
 
-def _grow_binomials(coeffs, e, top, work):
-    """Appends C(e, k) to coeffs = [C(e, 0), .., C(e, k - 1)] for k < top,
-    stopping at the first zero (k > e > 0).  Each is charged one unit per 64
-    bits past the first as it is built, and the budget is checked against it
-    plus the visit and letters s^1 .. s^k of the constant term's extensions,
-    before it is kept.  Returns `work` plus the charges."""
-    coeff = coeffs[-1]
-    for k in range(len(coeffs), top):
-        coeff = coeff * (e - k + 1) // k  # exact: binomials are integers
-        if not coeff:
-            break
-        work += coeff.bit_length() >> 6
-        if work + _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
-            raise _over_budget()
-        coeffs.append(coeff)
-    return work
-
-
 def _degree_parts(graph, codes, top):
     """Yields the image's degree-d part, {lex-least int tuple: coefficient}
     with zero sums kept, for d = 1 .. top - 1 (fewer with no negative
@@ -133,8 +116,12 @@ def _degree_parts(graph, codes, top):
     work = 0
     for d in range(1, top):
         for n, row in rows.items():
-            if len(row) <= min(n, d):
-                work = _grow_binomials(row, n, d + 1, work)
+            if d <= n:  # C(n, d) > 0, charged and checked before it is kept
+                coeff = row[-1] * (n - d + 1) // d  # exact: binomials are integers
+                work += coeff.bit_length() >> 6  # checked with the s^1 .. s^d of L^0
+                if work + _VISIT + d * (d + 1) // 2 > budget:
+                    raise _over_budget()
+                row.append(coeff)
         last = d - width  # no later round reads degree `last`
         layers = {}  # degree j -> [i, L_i^j], brought only as far as a read needs
         stored, total = [], {}
@@ -214,21 +201,10 @@ def mu(word, cap):
     return TruncatedSeries._trusted(graph, cap, terms)
 
 
-def _first_term(graph, codes, top):
-    """The lex-least term of the image's least positive degree, or None if
-    the degrees 1 .. top - 1 all vanish."""
-    for part in _degree_parts(graph, codes, top):
-        positive = [t for t, c in part.items() if c]
-        if positive:
-            return min(positive)
-    return None
-
-
 def in_dimension_subgroup(word, k):
     """True iff the series image of the word is 1 + (terms of degree >= k)."""
     check_int(k, 1, "k must be >= 1")
-    reduced = word.reduced()
-    return _first_term(word.graph, _codes(reduced), min(k, reduced.norm() + 1)) is None
+    return lcs_depth(word, k).kind != "exact"
 
 
 @dataclass(frozen=True)
@@ -275,7 +251,9 @@ def lcs_depth(word, cap=None):
         return DepthResult.infinite()
     graph = word.graph
     top = reduced.norm() + 1 if cap is None else min(cap, reduced.norm() + 1)
-    term = _first_term(graph, _codes(reduced), top)
-    if term is None:
-        return DepthResult.at_least(top)
-    return DepthResult.exact(len(term), Trace(graph, [graph.vertices[a] for a in term]))
+    for part in _degree_parts(graph, _codes(reduced), top):
+        term = min((t for t, c in part.items() if c), default=None)
+        if term is not None:
+            witness = Trace._trusted(graph, tuple(graph.vertices[a] for a in term))
+            return DepthResult.exact(len(term), witness)
+    return DepthResult.at_least(top)

@@ -87,6 +87,8 @@ class Dissection:
             circuits = []
             for circuit in components:
                 circuit = tuple((str(e), c) for e, c in circuit)
+                if not circuit:
+                    raise ValueError("component circuit has no edges")
                 counts = {}
                 for edge, curve in circuit:
                     if not edge:

@@ -390,6 +390,13 @@ def test_surface_check_components(tmp_path, capsys):
     assert out[1].startswith("component 0: FAIL e1,e3")
 
 
+def test_surface_check_refuses_empty_component(tmp_path, capsys):
+    path = graph_file(tmp_path, "genus: 1\ncurves: x\ngen a1: x\ngen b1:\ncomponent:\n",
+                      "d.txt")
+    assert run(["surface-check", "--dissection", path]) == 2
+    assert capsys.readouterr() == ("", "error: component circuit has no edges\n")
+
+
 def test_surface_depth(capsys):
     assert run(["surface-depth", "--genus", "2", "[a1,b1]"]) == 0
     out = capsys.readouterr().out

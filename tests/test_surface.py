@@ -56,6 +56,8 @@ def test_component_validation():
         tiny_dissection(components=[[("e1", "x"), ("e1", "y")]])
     with pytest.raises(ValueError, match="undeclared curve"):
         tiny_dissection(components=[[("e1", "w")]])
+    with pytest.raises(ValueError, match="has no edges"):
+        tiny_dissection(components=[[("e1", "x"), ("e2", "y")], []])
 
 
 def test_curve_names_checked_at_construction():
