@@ -50,6 +50,7 @@ front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -110,12 +111,6 @@ def _sphere_sizes(graph, max_norm, cap):
         if not spheres[n]:
             break
     return spheres
-
-
-def ball_size(graph, max_norm, cap):
-    """min(cap + 1, number of elements of norm <= max_norm, the identity included)."""
-    spheres = _sphere_sizes(graph, max_norm, cap)
-    return cap + 1 if spheres is None else sum(spheres)
 
 
 def _ball(graph, max_norm):
@@ -241,15 +236,8 @@ def commutator_witness(graph, k):
     result lies in the k-th lower central term by construction.
     """
     check_int(k, 1, "k must be >= 1")
-    verts = graph.vertices
-    pair = None
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if not graph.are_adjacent(verts[i], verts[j]):
-                pair = (verts[i], verts[j])
-                break
-        if pair:
-            break
+    pair = next(((u, v) for u, v in combinations(graph.vertices, 2)
+                 if not graph.are_adjacent(u, v)), None)
     if pair is None:
         raise ValueError("complete graph: every pair of generators commutes")
     s, t = pair

@@ -14,6 +14,7 @@ every genus (`standard_dissection`), not read from a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 from typing import Optional
 
@@ -32,12 +33,15 @@ class Dissection:
     """Combinatorial curve-system data for a closed genus-g surface.
 
     components, when present, lists the boundary circuits of the complementary
-    disks as cyclic (edge id, curve) sequences; they are optional input for
-    the injectivity criterion, not derivable from the rest of the data.
+    disks as cyclic (edge id, curve) sequences, at least one, none empty; they
+    are optional input for the injectivity criterion, not derivable from the
+    rest of the data.
 
-    It is checked once, when built: its data, its curve graph (so curve names
-    follow `Graph`'s rules) and the reduced image of the genus relator, which
-    every relator check reads; an image over MAX_WORD_SYLLABLES letters fails.
+    It is checked once, when built: its curve graph first (so `Graph` alone
+    checks the curve names and the crossing pairs, with its own messages),
+    then the rest of its data and the reduced image of the genus relator,
+    which every relator check reads; an image over MAX_WORD_SYLLABLES letters
+    fails.
     Its attributes are read-only and hold tuples, a frozenset and a read-only
     mapping of crossing sequences, so that verdict cannot go stale and one
     system can be shared.
@@ -49,21 +53,7 @@ class Dissection:
     def __init__(self, genus, curves, intersections, crossing_sequences,
                  components=None):
         check_int(genus, 1, "genus must be a positive integer, got {!r}")
-        curves = tuple(curves)
-        declared = set()
-        for c in curves:
-            if c in declared:
-                raise ValueError(f"duplicate curve name {c!r}")
-            declared.add(c)
-        intersections = list(intersections)
-        for pair in intersections:
-            u, v = pair
-            if u not in declared:
-                raise ValueError(f"intersection names undeclared curve {u!r}")
-            if v not in declared:
-                raise ValueError(f"intersection names undeclared curve {v!r}")
-            if u == v:
-                raise ValueError(f"curve {u!r} recorded as crossing itself")
+        graph = Graph(curves, intersections)
         if (len(crossing_sequences) != 2 * genus  # before building 2g names
                 or set(crossing_sequences) != {n for h in _handles(genus) for n in h}):
             raise ValueError(
@@ -73,7 +63,7 @@ class Dissection:
         for name, seq in crossing_sequences.items():
             entries = []
             for curve, sign in seq:
-                if curve not in declared:
+                if curve not in graph._index:
                     raise ValueError(
                         f"crossing sequence of {name!r} names undeclared curve {curve!r}")
                 if sign not in (1, -1):
@@ -81,19 +71,20 @@ class Dissection:
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
                 entries.append((curve, sign))
             sequences[name] = tuple(entries)
-        checked_components = None
         if components is not None:
+            components = tuple(tuple((str(e), c) for e, c in circuit)
+                               for circuit in components)
+            if not components:
+                raise ValueError("component list has no circuits")
             label = {}
-            circuits = []
             for circuit in components:
-                circuit = tuple((str(e), c) for e, c in circuit)
                 if not circuit:
                     raise ValueError("component circuit has no edges")
                 counts = {}
                 for edge, curve in circuit:
                     if not edge:
                         raise ValueError("empty edge id in component circuit")
-                    if curve not in declared:
+                    if curve not in graph._index:
                         raise ValueError(
                             f"component circuit names undeclared curve {curve!r}")
                     if label.setdefault(edge, curve) != curve:
@@ -103,14 +94,12 @@ class Dissection:
                     if counts[edge] > 2:
                         raise ValueError(
                             f"edge {edge!r} appears more than twice in a circuit")
-                circuits.append(circuit)
-            checked_components = tuple(circuits)
         self.genus = genus
-        self.curves = curves
+        self.curves = graph.vertices
+        self.intersections = graph.edges
         self.crossing_sequences = MappingProxyType(sequences)
-        self.components = checked_components
-        self._graph = Graph(curves, intersections)
-        self.intersections = self._graph.edges
+        self.components = components
+        self._graph = graph
         self._relator_image = phi(relator_syllables(genus), self).canonical()
 
     def __setattr__(self, name, value):
@@ -264,32 +253,16 @@ def check_injectivity_criterion(dissection):
         raise ValueError("dissection has no component boundary data")
     checks = []
     for idx, circuit in enumerate(dissection.components):
-        n = len(circuit)
-        curve_of = {}
-        order = []
-        for edge, curve in circuit:
-            if edge not in curve_of:
-                curve_of[edge] = curve
-                order.append(edge)
-        adjacent = set()
-        for i in range(n):
-            e1 = circuit[i][0]
-            e2 = circuit[(i + 1) % n][0]
-            if e1 != e2:
-                adjacent.add(frozenset((e1, e2)))
+        beside = {(circuit[i - 1][0], circuit[i][0]) for i in range(len(circuit))}
         violation = None
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                e1, e2 = order[i], order[j]
-                c1, c2 = curve_of[e1], curve_of[e2]
-                if c1 == c2:
-                    violation = (e1, e2, f"both lie on curve {c1}")
-                    break
-                if dissection.crosses(c1, c2) and frozenset((e1, e2)) not in adjacent:
-                    violation = (e1, e2,
-                                 f"curves {c1} and {c2} cross but the edges are never adjacent")
-                    break
-            if violation:
+        # dict(circuit) maps each edge to its curve, in first-seen order
+        for (e1, c1), (e2, c2) in combinations(dict(circuit).items(), 2):
+            if c1 == c2:
+                violation = (e1, e2, f"both lie on curve {c1}")
+                break
+            if dissection.crosses(c1, c2) and not {(e1, e2), (e2, e1)} & beside:
+                violation = (e1, e2,
+                             f"curves {c1} and {c2} cross but the edges are never adjacent")
                 break
         checks.append(ComponentCheck(idx, violation is None, violation))
     return InjectivityReport(tuple(checks))

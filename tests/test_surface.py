@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from raaglcs import (Dissection, Graph, check_injectivity_criterion,
+from raaglcs import (ComponentCheck, Dissection, Graph, check_injectivity_criterion,
                      check_relator, derive_intersections, format_dissection,
                      intersection_graph, lcs_depth, parse_dissection, phi,
                      relator_syllables, standard_dissection,
@@ -20,19 +20,24 @@ def tiny_dissection(intersections=(), sequences=None, components=None):
 
 # --- validation ---
 
+# The curve graph checks curve names and crossing pairs, in Graph's words.
+
 def test_duplicate_curve_rejected():
-    with pytest.raises(ValueError, match="duplicate curve"):
+    with pytest.raises(ValueError) as err:
         Dissection(1, ["x", "x"], (), {"a1": (), "b1": ()})
+    assert str(err.value) == "duplicate vertex name 'x'"
 
 
 def test_self_intersection_rejected():
-    with pytest.raises(ValueError, match="crossing itself"):
+    with pytest.raises(ValueError) as err:
         tiny_dissection(intersections=[("x", "x")])
+    assert str(err.value) == "self-loop at 'x'"
 
 
 def test_undeclared_curve_rejected():
-    with pytest.raises(ValueError, match="undeclared curve"):
+    with pytest.raises(ValueError) as err:
         tiny_dissection(intersections=[("x", "w")])
+    assert str(err.value) == "edge endpoint 'w' is not a declared vertex"
     with pytest.raises(ValueError, match="undeclared curve"):
         tiny_dissection(sequences={"a1": (("w", 1),), "b1": ()})
 
@@ -58,6 +63,8 @@ def test_component_validation():
         tiny_dissection(components=[[("e1", "w")]])
     with pytest.raises(ValueError, match="has no edges"):
         tiny_dissection(components=[[("e1", "x"), ("e2", "y")], []])
+    with pytest.raises(ValueError, match="component list has no circuits"):
+        tiny_dissection(components=[])
 
 
 def test_curve_names_checked_at_construction():
@@ -252,6 +259,38 @@ def test_criterion_rejects_nonadjacent_crossing_curves():
         quad_dissection([("e1", "x"), ("e2", "w"), ("e3", "y"), ("e4", "v")]))
     assert not report.passed
     assert "never adjacent" in report.components[0].violation[2]
+
+
+def test_criterion_sees_the_wrap_from_last_edge_to_first():
+    # x and y cross; their edges e1 and e4 meet only across the wrap.
+    report = check_injectivity_criterion(
+        quad_dissection([("e1", "x"), ("e2", "w"), ("e3", "v"), ("e4", "y")]))
+    assert report.components == (ComponentCheck(0, True, None),)
+    # Reordered so that e1 and e4 are nowhere neighbours.
+    report = check_injectivity_criterion(
+        quad_dissection([("e1", "x"), ("e2", "w"), ("e4", "y"), ("e3", "v")]))
+    assert report.components == (ComponentCheck(0, False, (
+        "e1", "e4", "curves x and y cross but the edges are never adjacent")),)
+
+
+def test_criterion_one_edge_circuits_pass():
+    for circuit in ([("e1", "x")], [("e1", "x"), ("e1", "x")]):
+        report = check_injectivity_criterion(quad_dissection(circuit))
+        assert report.components == (ComponentCheck(0, True, None),)
+
+
+def test_criterion_reports_first_violation_in_first_seen_edge_order():
+    # Pairs in first-seen order: (b, a), (b, c) is the first to fail, ahead of
+    # the never-adjacent (a, d) that sorted edge ids would meet first; the
+    # repeated b keeps its first place.
+    report = check_injectivity_criterion(quad_dissection(
+        [("b", "w"), ("a", "x"), ("c", "w"), ("b", "w"), ("d", "y")]))
+    assert report.components == (ComponentCheck(0, False, ("b", "c", "both lie on curve w")),)
+    # With c moved to another curve, (a, d) is the first violation.
+    report = check_injectivity_criterion(quad_dissection(
+        [("b", "w"), ("a", "x"), ("c", "v"), ("b", "w"), ("d", "y")]))
+    assert report.components == (ComponentCheck(0, False, (
+        "a", "d", "curves x and y cross but the edges are never adjacent")),)
 
 
 def test_criterion_reports_per_component():
