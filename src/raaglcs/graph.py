@@ -67,11 +67,7 @@ class Graph:
 
     def are_adjacent(self, u, v):
         """True iff u and v are joined by an edge (i.e. commute); false when u == v."""
-        if u not in self._index:
-            raise ValueError(f"unknown vertex {u!r}")
-        if v not in self._index:
-            raise ValueError(f"unknown vertex {v!r}")
-        return bool(self.masks[self._index[u]] >> self._index[v] & 1)
+        return bool(self.masks[self.index(u)] >> self.index(v) & 1)
 
     def is_complete(self):
         """True iff every pair of distinct vertices is joined by an edge."""

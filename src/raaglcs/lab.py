@@ -119,7 +119,7 @@ def _ball(graph, max_norm):
     Every search calls this before it walks a sphere: a ball of more than
     MAX_BALL_ELEMENTS elements raises ValueError here.  The search then
     walks the spheres of norm 1 to len(list) - 1 in increasing norm, each by
-    `_sphere`, whose syllables come out canonical, with nothing to re-reduce.
+    `_sphere`, whose codes come out canonical, with nothing to re-reduce.
     """
     check_int(max_norm, 0, "max_norm must be >= 0")
     spheres = _sphere_sizes(graph, max_norm, MAX_BALL_ELEMENTS)
@@ -130,28 +130,28 @@ def _ball(graph, max_norm):
 
 
 def _sphere(graph, norm, derived=False):
-    """The canonical syllable tuples of norm exactly `norm` (>= 1), in lex
+    """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
     order.  With `derived` only the elements of [G, G] come out: a subtree
     is skipped when its prefix's ab_norm exceeds the norm left to spend
     (see the module docstring).
     """
     masks = graph.masks
-    vertices = graph.vertices
-    dead = (1 << len(vertices)) - 1
-    # (prefix, forbidden, norm left, generator of the last syllable, the
-    # parent's exponent sums {generator index: sum}, the prefix's ab_norm);
-    # the sums and ab_norm are kept only by the derived walk.
-    stack = [((), 0, norm, None, {}, 0)]
+    dead = (1 << len(masks)) - 1
+    # (prefix, forbidden, norm left, the parent's exponent sums {generator
+    # index: sum}, the prefix's ab_norm); the sums and ab_norm are kept only
+    # by the derived walk.
+    stack = [((), 0, norm, {}, 0)]
     while stack:
-        syllables, forbidden, left, last, sums, ab_norm = stack.pop()
+        codes, forbidden, left, sums, ab_norm = stack.pop()
         if not left:
-            yield syllables
+            yield codes
             continue
-        if derived and syllables:  # shared with the siblings: copy before adding the last syllable
-            sums = {**sums, last: sums.get(last, 0) + syllables[-1][1]}
+        if derived and codes:  # shared with the siblings: copy before adding the last syllable
+            last, e = codes[-1]
+            sums = {**sums, last: sums.get(last, 0) + e}
         exponents = None
         # Children go on the stack in reverse, so they come off ascending.
-        for g in range(len(vertices) - 1, -1, -1):
+        for g in range(len(masks) - 1, -1, -1):
             if forbidden >> g & 1:
                 continue
             after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
@@ -161,10 +161,9 @@ def _sphere(graph, norm, derived=False):
                 if exponents is None:
                     exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
                 ends = exponents
-            name = vertices[g]
             if not derived:
                 for e in ends:
-                    stack.append((syllables + ((name, e),), after, left - abs(e), g, sums, 0))
+                    stack.append((codes + ((g, e),), after, left - abs(e), sums, 0))
                 continue
             c = sums.get(g, 0)
             others = ab_norm - abs(c)
@@ -172,7 +171,7 @@ def _sphere(graph, norm, derived=False):
                 rest = left - abs(e)
                 moved = others + abs(c + e)
                 if moved <= rest:  # else its abelianisation cannot return to 0
-                    stack.append((syllables + ((name, e),), after, rest, g, sums, moved))
+                    stack.append((codes + ((g, e),), after, rest, sums, moved))
 
 
 def enumerate_elements(graph, max_norm):
@@ -185,8 +184,8 @@ def enumerate_elements(graph, max_norm):
     """
     spheres = _ball(graph, max_norm)
     trusted = GroupWord._trusted
-    return [trusted(graph, syllables) for norm in range(1, len(spheres))
-            for syllables in _sphere(graph, norm)]
+    return [trusted(graph, codes) for norm in range(1, len(spheres))
+            for codes in _sphere(graph, norm)]
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,8 @@ def depth_function(graph, k, max_norm):
         return DepthFunctionRow(k, "at_least", max_norm + 1)
     spheres = _ball(graph, max_norm)
     for norm in range(1, len(spheres)):
-        for syllables in _sphere(graph, norm, k >= 2):
-            word = GroupWord._trusted(graph, syllables)
+        for codes in _sphere(graph, norm, k >= 2):
+            word = GroupWord._trusted(graph, codes)
             if in_dimension_subgroup(word, k):
                 return DepthFunctionRow(k, "exact", norm, word)
     return DepthFunctionRow(k, "at_least", max_norm + 1)
@@ -284,8 +283,8 @@ def verify_depth_bound(graph, max_norm):
     violations = []
     for n in range(1, len(spheres)):
         inside = 0
-        for syllables in _sphere(graph, n, True):
-            word = GroupWord._trusted(graph, syllables)
+        for codes in _sphere(graph, n, True):
+            word = GroupWord._trusted(graph, codes)
             d = lcs_depth(word).depth
             if d > n:
                 violations.append((word, n, d))

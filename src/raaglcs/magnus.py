@@ -50,12 +50,10 @@ round's increments are never read, so never charged.  `mu` refuses up
 front an exponent whose constant-term extensions s^1 .. s^k alone would
 pass the budget.
 
-`GroupWord` and `Trace` stay the validated types at the boundary, and
-`TruncatedSeries` the read-only type of `mu`'s result: words are validated as
-they are built, the kernel trusts its own canonical tuples, `mu` converts its
-image once at exit, and `lcs_depth` wraps the kernel's witness tuple as is.
-No library path runs generic series arithmetic; the tests check `mu` against
-a product of binomial factors built from `math.comb`.
+The kernel reads a word's `codes`; `mu` and `lcs_depth` wrap its tuples, as
+they are, as `Trace` codes.  Names are read where a word is built and written
+where a result is printed, never here.  No library path runs generic series
+arithmetic; the tests check `mu` against a product of `math.comb` binomials.
 """
 
 from __future__ import annotations
@@ -86,12 +84,6 @@ def syllable_factor(graph, s, e, cap):
     if e == 0:
         raise ValueError("exponent must be nonzero")
     return mu(GroupWord(graph, [(s, e)]), cap)
-
-
-def _codes(word):
-    """The word's syllables as (vertex index, exponent), zero exponents dropped."""
-    index = word.graph.index
-    return [(index(s), e) for s, e in word.syllables if e]
 
 
 def _over_budget():
@@ -188,8 +180,7 @@ def mu(word, cap):
     """Image of a word under generator -> 1 + generator, truncated below cap."""
     check_int(cap, 1, _CAP_MESSAGE)
     graph = word.graph
-    vertices = graph.vertices
-    codes = _codes(word)
+    codes = [(g, e) for g, e in word.codes if e]
     k = max((cap - 1 if e < 0 else min(e, cap - 1) for _, e in codes), default=0)
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()
@@ -197,7 +188,7 @@ def mu(word, cap):
     image = {(): 1}
     for part in parts:
         image.update(sorted((t, c) for t, c in part.items() if c))
-    terms = {Trace._trusted(graph, tuple(vertices[a] for a in t)): c for t, c in image.items()}
+    terms = {Trace._trusted(graph, t): c for t, c in image.items()}
     return TruncatedSeries._trusted(graph, cap, terms)
 
 
@@ -247,13 +238,12 @@ def lcs_depth(word, cap=None):
     if cap is not None:
         check_int(cap, 1, _CAP_MESSAGE)
     reduced = word.reduced()
-    if not reduced.syllables:
+    if not reduced.codes:
         return DepthResult.infinite()
     graph = word.graph
     top = reduced.norm() + 1 if cap is None else min(cap, reduced.norm() + 1)
-    for part in _degree_parts(graph, _codes(reduced), top):
+    for part in _degree_parts(graph, reduced.codes, top):
         term = min((t for t, c in part.items() if c), default=None)
         if term is not None:
-            witness = Trace._trusted(graph, tuple(graph.vertices[a] for a in term))
-            return DepthResult.exact(len(term), witness)
+            return DepthResult.exact(len(term), Trace._trusted(graph, term))
     return DepthResult.at_least(top)

@@ -20,8 +20,8 @@ from typing import Optional
 
 from .graph import Graph, _keyed_lines, _pairs
 from .magnus import lcs_depth
-from .words import (MAX_WORD_SYLLABLES, GroupWord, check_int, check_word_size,
-                    parse_syllables)
+from .words import (MAX_WORD_SYLLABLES, GroupWord, check_exponent, check_int,
+                    check_word_size, parse_syllables)
 
 
 def _handles(genus):
@@ -66,7 +66,7 @@ class Dissection:
                 if curve not in graph._index:
                     raise ValueError(
                         f"crossing sequence of {name!r} names undeclared curve {curve!r}")
-                if sign not in (1, -1):
+                if type(sign) is not int or sign not in (1, -1):
                     raise ValueError(
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
                 entries.append((curve, sign))
@@ -140,9 +140,9 @@ def phi(word, dissection):
 
     Each generator contributes its signed crossing sequence; an inverse letter
     contributes the sequence reversed with negated signs; exponents repeat the
-    block.  Accepts either raw (name, exponent) pairs or word-syntax text.
-    An image of more than MAX_WORD_SYLLABLES letters is rejected before it
-    is built.
+    block.  Accepts either raw (name, exponent) pairs, each exponent an int,
+    or word-syntax text.  An image of more than MAX_WORD_SYLLABLES letters is
+    rejected before it is built.
     """
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
     blocks = []
@@ -150,6 +150,7 @@ def phi(word, dissection):
         seq = dissection.crossing_sequences.get(name)
         if seq is None:
             raise ValueError(f"unknown surface generator {name!r}")
+        check_exponent(name, exp)
         block = seq if exp > 0 else tuple((c, -s) for c, s in reversed(seq))
         blocks.append((block, abs(exp)))
     check_word_size(sum(len(block) * count for block, count in blocks), "letters")
@@ -161,7 +162,7 @@ def phi(word, dissection):
 
 def check_relator(dissection):
     """True iff the genus relator's image, reduced when built, is the identity."""
-    return not dissection._relator_image.syllables
+    return not dissection._relator_image.codes
 
 
 def _standard_data(genus):
@@ -295,12 +296,9 @@ def surface_depth_check(word, dissection):
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
     if not check_relator(dissection):
         raise ValueError("dissection fails the relator consistency check")
+    image = phi(syllables, dissection).reduced()  # checks each exponent
     surface_length = sum(abs(e) for _, e in syllables)
-    image = phi(syllables, dissection).reduced()
-    if not image.syllables:
-        return SurfaceDepthReport(surface_length, 0, None)
-    result = lcs_depth(image)
-    return SurfaceDepthReport(surface_length, image.norm(), result.depth)
+    return SurfaceDepthReport(surface_length, image.norm(), lcs_depth(image).depth)
 
 
 def parse_dissection(text):

@@ -1,5 +1,10 @@
 """Syllable words over a commutation graph and traces in its positive monoid.
 
+A word or trace stores only its `codes`, each letter its vertex index.
+Names are read once, with `Graph.index`, where one is built from names, and
+written only where one is printed or its `syllables` or `letters` are read;
+`magnus`, `lab` and `surface` work on the codes.
+
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
 of adjacent commuting syllables, and the lexicographically least arrangement
@@ -20,30 +25,36 @@ class GroupWord:
     """A word s1^e1 ... sn^en over the vertices of a commutation graph.
 
     Construction is purely syntactic: nothing is cancelled or reordered until
-    `reduced()` or `canonical()` is called.  Instances are immutable.
+    `reduced()` or `canonical()` is called.  Instances are immutable, and
+    `codes` holds the word as (vertex index, exponent) pairs.
     """
 
-    __slots__ = ("graph", "syllables", "_canonical")
+    __slots__ = ("graph", "codes", "_canonical")
 
     def __init__(self, graph, syllables=()):
-        checked = []
+        codes = []
         for gen, exp in syllables:
-            graph.index(gen)
-            if not isinstance(exp, int) or isinstance(exp, bool):
-                raise ValueError(f"exponent for {gen!r} must be an integer, got {exp!r}")
-            checked.append((gen, exp))
-        self.graph = graph
-        self.syllables = tuple(checked)
-        self._canonical = None
+            g = graph.index(gen)
+            check_exponent(gen, exp)
+            codes.append((g, exp))
+        self.graph, self.codes, self._canonical = graph, tuple(codes), None
 
     @classmethod
-    def _trusted(cls, graph, syllables):
-        """A word from a syllable tuple already in canonical form; nothing is checked."""
+    def _trusted(cls, graph, codes):
+        """A word from a code tuple already in canonical form; nothing is checked."""
         word = object.__new__(cls)
-        word.graph = graph
-        word.syllables = syllables
-        word._canonical = word
+        word.graph, word.codes, word._canonical = graph, codes, word
         return word
+
+    def _unreduced(self, codes):
+        """A word over this graph from checked codes, its canonical form unknown."""
+        word = object.__new__(GroupWord)
+        word.graph, word.codes, word._canonical = self.graph, codes, None
+        return word
+
+    @property
+    def syllables(self):
+        return tuple((self.graph.vertices[g], e) for g, e in self.codes)
 
     def reduced(self):
         """Equivalent fully reduced word: the canonical form."""
@@ -52,7 +63,7 @@ class GroupWord:
     def is_fully_reduced(self):
         # canonical() reorders, merges and drops zero exponents; only reordering
         # keeps the syllable count.
-        return len(self.syllables) == len(self.canonical().syllables)
+        return len(self.codes) == len(self.canonical().codes)
 
     def canonical(self):
         """The lexicographically least fully reduced representative.
@@ -64,18 +75,17 @@ class GroupWord:
         same generator the two merge (and vanish on a zero sum); otherwise it
         goes in at its `lex_insertion_point`.  Merging changes an exponent or
         removes a syllable that everything after it commutes with, so the
-        result stays fully reduced and lex-least: one linear scan per syllable.
+        result stays fully reduced and lex-least.  Each syllable scans the
+        suffix it crosses, so the pass is quadratic in the worst case: in
+        (y z x)^N, x adjacent to y and z, each x crosses all y and z before it.
         """
         if self._canonical is not None:
             return self._canonical
-        graph = self.graph
-        index = graph.index
-        masks = graph.masks
+        masks = self.graph.masks
         keys, gens = [], []
-        for gen, exp in self.syllables:
+        for g, exp in self.codes:
             if not exp:
                 continue
-            g = index(gen)
             start = commuting_suffix_start(gens, masks[g])
             if start and gens[start - 1] == g:
                 exp += keys[start - 1][1]
@@ -87,41 +97,40 @@ class GroupWord:
                 pos = lex_insertion_point(keys, (g, exp), start)
                 keys.insert(pos, (g, exp))
                 gens.insert(pos, g)
-        vertices = graph.vertices
-        word = GroupWord._trusted(graph, tuple((vertices[g], e) for g, e in keys))
-        self._canonical = word
-        return word
+        self._canonical = GroupWord._trusted(self.graph, tuple(keys))
+        return self._canonical
 
     def equals(self, other):
         """True iff both words represent the same group element."""
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
-        return self.canonical().syllables == other.canonical().syllables
+        return self.canonical().codes == other.canonical().codes
 
     def is_identity(self):
-        return not self.canonical().syllables
+        return not self.canonical().codes
 
     def norm(self):
         """Geodesic word length: the sum of |e_i| over the fully reduced form."""
-        return sum(abs(e) for _, e in self.canonical().syllables)
+        return sum(abs(e) for _, e in self.canonical().codes)
 
     def __mul__(self, other):
         if not isinstance(other, GroupWord):
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
-        return GroupWord(self.graph, self.syllables + other.syllables)
+        return self._unreduced(self.codes + other.codes)
 
     def inverse(self):
-        return GroupWord(self.graph, [(s, -e) for s, e in reversed(self.syllables)])
+        return self._unreduced(tuple((g, -e) for g, e in reversed(self.codes)))
 
     def __str__(self):
-        if not self.syllables:
+        if not self.codes:
             return "1"
+        vertices = self.graph.vertices
         try:
-            return " ".join(s if e == 1 else f"{s}^{e}" for s, e in self.syllables)
+            return " ".join(vertices[g] + ("" if e == 1 else f"^{e}") for g, e in self.codes)
         except ValueError:  # an exponent past the integer print limit
-            for _, e in self.syllables:
+            for _, e in self.codes:
                 _digits(e, "an exponent")
             raise
 
@@ -142,6 +151,12 @@ def _digits(n, what):
         verb = "parse" if isinstance(n, str) else "print"
         raise ValueError(f"cannot {verb} {what} of more than {sys.get_int_max_str_digits()} "
                          f"digits (the integer {verb} limit)") from None
+
+
+def check_exponent(gen, exp):
+    """Reject an exponent of generator `gen` that is not an int, a bool included."""
+    if isinstance(exp, bool) or not isinstance(exp, int):
+        raise ValueError(f"exponent for {gen!r} must be an integer, got {exp!r}")
 
 
 def check_int(value, least, message):
@@ -191,60 +206,62 @@ class Trace:
 
     All words for the same trace have the same length, so `length` is
     well-defined.  Traces are hashable values and multiply by concatenation
-    followed by re-canonicalization.
+    followed by re-canonicalization.  `codes` holds it as vertex indices.
     """
 
-    __slots__ = ("graph", "letters", "_hash")
+    __slots__ = ("graph", "codes")
 
     def __init__(self, graph, letters=()):
-        masks = graph.masks
-        codes = []
-        for a in letters:
-            code = graph.index(a)
-            start = commuting_suffix_start(codes, masks[code])
-            codes.insert(lex_insertion_point(codes, code, start), code)
-        vertices = graph.vertices
         self.graph = graph
-        self.letters = tuple(vertices[c] for c in codes)
-        self._hash = hash((graph, self.letters))
+        self.codes = _appended(graph.masks, (), [graph.index(a) for a in letters])
 
     @classmethod
-    def _trusted(cls, graph, letters):
-        """A trace from vertex names already in lex-least order; nothing is checked."""
+    def _trusted(cls, graph, codes):
+        """A trace from vertex indices already in lex-least order; nothing is checked."""
         trace = object.__new__(cls)
-        trace.graph = graph
-        trace.letters = letters
-        trace._hash = hash((graph, letters))
+        trace.graph, trace.codes = graph, codes
         return trace
 
     @property
+    def letters(self):
+        return tuple(self.graph.vertices[c] for c in self.codes)
+
+    @property
     def length(self):
-        return len(self.letters)
+        return len(self.codes)
 
     def sort_key(self):
-        idx = self.graph.index
-        return (len(self.letters), tuple(idx(a) for a in self.letters))
+        return (len(self.codes), self.codes)
 
     def __mul__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("traces live over different graphs")
-        return Trace(self.graph, self.letters + other.letters)
+        return Trace._trusted(self.graph, _appended(self.graph.masks, self.codes, other.codes))
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.letters == other.letters and self.graph == other.graph
+        return self.codes == other.codes and self.graph == other.graph
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.codes))
 
     def __str__(self):
-        return "*".join(self.letters) if self.letters else "ε"
+        return "*".join(self.letters) if self.codes else "ε"
 
     def __repr__(self):
         return f"<Trace {self}>"
+
+
+def _appended(masks, codes, letters):
+    """Lex-least `codes` with vertex indices `letters` appended one at a time."""
+    codes = list(codes)
+    for code in letters:
+        start = commuting_suffix_start(codes, masks[code])
+        codes.insert(lex_insertion_point(codes, code, start), code)
+    return tuple(codes)
 
 
 # A bracket or comma, a syllable `gen` or `gen^E`, or any other non-space character.

@@ -1,16 +1,19 @@
-"""The package boundary: integer arguments are checked as ints, and every
-name perfbench's tracer replaces still exists where the tracer looks."""
+"""The package boundary: integer arguments are checked as ints, vertex names
+are read only where a word or trace is built from them, and every name
+perfbench's tracer replaces still exists where the tracer looks."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import f2
-from raaglcs import (Dissection, GroupWord, TruncatedSeries, commutator_witness,
-                     depth_function, enumerate_elements, in_dimension_subgroup,
-                     lcs_depth, mu, standard_dissection, verify_depth_bound)
+from conftest import c4, f2, random_graph, random_word
+from raaglcs import (Dissection, Graph, GroupWord, Trace, TruncatedSeries,
+                     commutator_witness, depth_function, enumerate_elements,
+                     in_dimension_subgroup, lcs_depth, mu, parse_word,
+                     standard_dissection, verify_depth_bound)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -62,3 +65,38 @@ def test_tracer_targets_exist():
             assert attr in vars(getattr(module, cls_name)), f"{module_name}.{path}"
         else:
             assert hasattr(module, path), f"{module_name}.{path}"
+
+
+def test_names_read_only_where_words_are_built(monkeypatch):
+    graph = c4()  # a-b-c-d-a
+    word = parse_word("[a b^2, c^-1 d]", graph) * GroupWord(graph, [("a", 0), ("c", 2)])
+    looked_up = []
+    index = Graph.index
+
+    def counting(self, v):
+        looked_up.append(v)
+        return index(self, v)
+
+    monkeypatch.setattr(Graph, "index", counting)
+    word.canonical()
+    (word * word.inverse()).canonical()
+    mu(word, 5)
+    lcs_depth(word)
+    in_dimension_subgroup(word, 3)
+    enumerate_elements(graph, 4)
+    verify_depth_bound(graph, 4)
+    depth_function(f2(), 2, 4)
+    assert looked_up == []
+    GroupWord(graph, [("a", 1)])
+    assert looked_up == ["a"]
+
+
+def test_names_and_codes_round_trip():
+    rng = random.Random(17)
+    for _ in range(200):
+        graph = random_graph(rng, max_vertices=5)
+        word = random_word(rng, graph, max_syllables=6)
+        for w in (word, word.canonical()):
+            assert GroupWord(graph, w.syllables).codes == w.codes
+        for trace in mu(word, 4).terms:
+            assert Trace(graph, trace.letters) == trace

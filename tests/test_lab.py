@@ -162,20 +162,20 @@ def test_depth_function_rejects_complete_graphs():
 
 
 def test_depth_function_stops_at_first_hit(monkeypatch):
-    ball = [w.syllables for w in enumerate_elements(f2(), 8)]
+    ball = [w.codes for w in enumerate_elements(f2(), 8)]
     pulled = []
     sphere = lab._sphere
 
     def counting(*args):
-        for syllables in sphere(*args):
-            pulled.append(syllables)
-            yield syllables
+        for codes in sphere(*args):
+            pulled.append(codes)
+            yield codes
 
     monkeypatch.setattr(lab, "_sphere", counting)
     row = depth_function(f2(), 3, 8)
     assert row.kind == "exact" and row.norm == 8
     assert str(row.minimal_witness) == "a^-2 b^-1 a b^2 a b^-1"
-    assert pulled[-1] == row.minimal_witness.syllables
+    assert pulled[-1] == row.minimal_witness.codes
     assert len(pulled) < len(ball)
 
 
@@ -330,8 +330,8 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
     # the pruned walk against the elements whose image, built from scratch,
     # has no degree-1 part: the elements of [G, G], in the same order
     for norm in range(1, max_norm + 1):
-        derived = [syllables for syllables in lab._sphere(graph, norm)
-                   if not any(t.length == 1 for t in mu(GroupWord(graph, syllables), 2).terms)]
+        derived = [codes for codes in lab._sphere(graph, norm)
+                   if not any(t.length == 1 for t in mu(GroupWord._trusted(graph, codes), 2).terms)]
         assert list(lab._sphere(graph, norm, True)) == derived
 
 

@@ -50,8 +50,10 @@ def test_generator_key_set_enforced():
 
 
 def test_bad_crossing_sign_rejected():
-    with pytest.raises(ValueError, match="must be"):
-        tiny_dissection(sequences={"a1": (("x", 2),), "b1": ()})
+    for sign in (2, 0, True, 1.0, -1.0, "1"):
+        with pytest.raises(ValueError) as err:
+            tiny_dissection(sequences={"a1": (("x", sign),), "b1": ()})
+        assert str(err.value) == "crossing sign for 'x' in 'a1' must be +1 or -1"
 
 
 def test_component_validation():
@@ -375,6 +377,14 @@ def test_dissection_is_read_only():
     assert check_relator(d)
     assert format_dissection(Dissection(2, d.curves, d.intersections,
                                         d.crossing_sequences)) == format_dissection(d)
+
+
+@pytest.mark.parametrize("exp", [1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", [phi, surface_depth_check], ids=lambda f: f.__name__)
+def test_raw_syllable_exponent_must_be_an_int(call, exp):
+    with pytest.raises(ValueError) as err:
+        call([("a1", exp)], standard_dissection(2))
+    assert str(err.value) == f"exponent for 'a1' must be an integer, got {exp!r}"
 
 
 def test_surface_depth_requires_consistent_relator():
