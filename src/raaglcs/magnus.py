@@ -7,12 +7,23 @@ at least k, and for graph groups that filtration coincides with the lower
 central series (Duchamp-Krob 1992), so the minimal positive degree in the
 image is the element's exact lower-central-series depth.
 
-The image is computed by one kernel on int-coded data: a letter is its
-vertex index, a trace is the tuple of its lex-least letters, and a series is
-a dict from such tuples to ints.  Multiplying a term t by s^k puts all k
-copies of s in at the one place `lex_insertion_point` finds for s in t
-(Anisimov-Knuth insertion: across the commuting suffix, before its first
-greater letter), so the result is lex-least with no re-sort.
+The image is computed by one kernel on packed ints.  A letter is its vertex
+index in w = max(1, (n - 1).bit_length()) bits, n the vertex count, and a
+term, a trace's lex-least letters, is one int: a sentinel 1 bit, then the
+letters, the first most significant; the constant term is the sentinel
+alone, 1.  Terms of one degree so compare as ints as their letter tuples
+compare lexicographically, and the sentinel tells a run of vertex 0 from a
+shorter one.  A series is a dict from terms to ints.  Multiplying a term t
+by s^k puts all k copies of s in at one place (Anisimov-Knuth insertion, as
+in `words.lex_insertion_point`: across the suffix of t that s commutes
+with, before its first greater letter), so the result is lex-least with no
+re-sort.  That suffix is read from the low end of t, a letter per shift and
+mask; with q letters after the insertion point the product is
+
+    ((t >> q w) << k w | s^k) << q w | t & (2^(q w) - 1),
+
+s^k being s times the repunit of k w-bit fields; when that suffix has no
+letter greater than s, q = 0 and it is t << k w | s^k.
 
 The kernel, `_degree_parts`, sweeps the degrees d = 1, 2, ... and yields
 the image's degree-d part in round d.  Let L_i be the image of the word's
@@ -50,10 +61,13 @@ round's increments are never read, so never charged.  `mu` refuses up
 front an exponent whose constant-term extensions s^1 .. s^k alone would
 pass the budget.
 
-The kernel reads a word's `codes`; `mu` and `lcs_depth` wrap its tuples, as
-they are, as `Trace` codes.  Names are read where a word is built and written
-where a result is printed, never here.  No library path runs generic series
-arithmetic; the tests check `mu` against a product of `math.comb` binomials.
+The kernel reads a word's `codes`.  Packed terms never leave this module:
+`mu` unpacks each term of its result, and `lcs_depth` its witness, to the
+tuple of vertex indices that `Trace.codes` stores, and wraps it with no
+re-sort.  Names are read where a word is built and written where a result
+is printed, never here.  No library path runs generic series arithmetic;
+the tests check `mu` against a product of `math.comb` binomials on letter
+tuples.
 """
 
 from __future__ import annotations
@@ -62,8 +76,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .series import _CAP_MESSAGE, TruncatedSeries
-from .words import (GroupWord, Trace, check_int, commuting_suffix_start,
-                    lex_insertion_point)
+from .words import GroupWord, Trace, check_int
 
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over all
 # the rounds of its degree sweep) may do: one unit per letter written into a
@@ -71,9 +84,10 @@ from .words import (GroupWord, Trace, check_int, commuting_suffix_start,
 # per product of coefficients of u and v extra 64-bit words written, plus 32,
 # about what a visit costs in time, per term visited, per layer read, and
 # per stored increment term added back into a layer, so the budget bounds
-# what the sweep holds too.  The F2 left-normed commutator of weight 10
-# needs about 21.9 million; weight 11 needs about 87.5 million, and is
-# refused at about 74 MiB peak RSS.
+# what the sweep holds too; a term charged n letters is one int of n w + 1
+# bits.  The F2 left-normed commutator of weight 10 needs about 21.9
+# million, at about 30 MiB peak RSS; weight 11 needs about 87.5 million,
+# and is refused at about 42 MiB.
 MAX_KERNEL_WORK = 40_000_000
 _VISIT = 32  # units per term visited or added back, or layer read
 
@@ -90,8 +104,19 @@ def _over_budget():
     return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
 
 
+def _letter_bits(graph):
+    """Bits per letter of a packed term: enough for the highest vertex index."""
+    return max(1, (len(graph.vertices) - 1).bit_length())
+
+
+def _unpacked(term, w):
+    """The vertex indices of a packed term, first letter first, as `Trace.codes`."""
+    low = (1 << w) - 1
+    return tuple(term >> i & low for i in range((term.bit_length() - 1) // w * w - w, -1, -w))
+
+
 def _degree_parts(graph, codes, top):
-    """Yields the image's degree-d part, {lex-least int tuple: coefficient}
+    """Yields the image's degree-d part, {packed lex-least term: coefficient}
     with zero sums kept, for d = 1 .. top - 1 (fewer with no negative
     exponent): the degree sweep of the module docstring.  Raises ValueError
     before the work summed over its rounds would pass MAX_KERNEL_WORK.
@@ -102,6 +127,8 @@ def _degree_parts(graph, codes, top):
         top = min(top, sum(e for _, e in codes) + 1)
     budget = MAX_KERNEL_WORK
     masks = graph.masks
+    w = _letter_bits(graph)
+    low = (1 << w) - 1
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
@@ -125,9 +152,9 @@ def _degree_parts(graph, codes, top):
             delta = {}
             for k in range(1, min(n, d) + 1):
                 b = row[k] if e > 0 else -row[k]
-                if k == d:  # s^d from the constant term
+                if k == d:  # s^d from the constant term, the sentinel 1
                     work += _VISIT + d
-                    term = (s,) * d
+                    term = 1 << d * w | s * ((1 << d * w) - 1) // low
                     delta[term] = delta.get(term, 0) + b
                     continue
                 j = d - k
@@ -155,13 +182,19 @@ def _degree_parts(graph, codes, top):
                     work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
                 if work > budget:
                     raise _over_budget()
-                ks = (s,) * k
+                shift = k * w
+                ks = s * ((1 << shift) - 1) // low  # the letters of s^k: s times a repunit
                 for t, c in layer.items():
-                    if mask >> t[-1] & 1:
-                        pos = lex_insertion_point(t, s, commuting_suffix_start(t, mask))
-                        term = t[:pos] + ks + t[pos:]
-                    else:  # s commutes with no suffix of t
-                        term = t + ks
+                    term = t << shift | ks
+                    if mask >> (t & low) & 1:  # s commutes with the last letter of t
+                        x, bits, after = t, 0, 0  # after: the bits behind the insertion point
+                        while x > 1 and mask >> (a := x & low) & 1:  # x = 1: no letter left
+                            bits += w
+                            if a > s:
+                                after = bits
+                            x >>= w
+                        if after:
+                            term = ((t >> after) << shift | ks) << after | t & ((1 << after) - 1)
                     delta[term] = delta.get(term, 0) + c * b
             if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
                 delta = {t: c for t, c in delta.items() if c}
@@ -185,10 +218,11 @@ def mu(word, cap):
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()
     parts = list(_degree_parts(graph, codes, cap))  # a refused sweep sorts nothing
-    image = {(): 1}
+    image = {1: 1}  # the constant term: the sentinel alone
     for part in parts:
         image.update(sorted((t, c) for t, c in part.items() if c))
-    terms = {Trace._trusted(graph, t): c for t, c in image.items()}
+    w = _letter_bits(graph)
+    terms = {Trace._trusted(graph, _unpacked(t, w)): c for t, c in image.items()}
     return TruncatedSeries._trusted(graph, cap, terms)
 
 
@@ -245,5 +279,6 @@ def lcs_depth(word, cap=None):
     for part in _degree_parts(graph, reduced.codes, top):
         term = min((t for t, c in part.items() if c), default=None)
         if term is not None:
-            return DepthResult.exact(len(term), Trace._trusted(graph, term))
+            codes = _unpacked(term, _letter_bits(graph))
+            return DepthResult.exact(len(codes), Trace._trusted(graph, codes))
     return DepthResult.at_least(top)

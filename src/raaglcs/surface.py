@@ -48,7 +48,7 @@ class Dissection:
     """
 
     __slots__ = ("genus", "curves", "intersections", "crossing_sequences",
-                 "components", "_graph", "_relator_image")
+                 "components", "_graph", "_crossing_codes", "_relator_image")
 
     def __init__(self, genus, curves, intersections, crossing_sequences,
                  components=None):
@@ -59,7 +59,7 @@ class Dissection:
             raise ValueError(
                 f"crossing sequences must be given for exactly a1..a{genus}, "
                 f"b1..b{genus}")
-        sequences = {}
+        sequences, codes = {}, {}  # codes: each sequence as (vertex index, sign) pairs
         for name, seq in crossing_sequences.items():
             entries = []
             for curve, sign in seq:
@@ -71,6 +71,7 @@ class Dissection:
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
                 entries.append((curve, sign))
             sequences[name] = tuple(entries)
+            codes[name] = tuple((graph._index[curve], sign) for curve, sign in entries)
         if components is not None:
             components = tuple(tuple((str(e), c) for e, c in circuit)
                                for circuit in components)
@@ -100,6 +101,7 @@ class Dissection:
         self.crossing_sequences = MappingProxyType(sequences)
         self.components = components
         self._graph = graph
+        self._crossing_codes = codes
         self._relator_image = phi(relator_syllables(genus), self).canonical()
 
     def __setattr__(self, name, value):
@@ -142,12 +144,13 @@ def phi(word, dissection):
     contributes the sequence reversed with negated signs; exponents repeat the
     block.  Accepts either raw (name, exponent) pairs, each exponent an int,
     or word-syntax text.  An image of more than MAX_WORD_SYLLABLES letters is
-    rejected before it is built.
+    rejected before it is built.  The blocks come from the codes the
+    dissection stored when built, so no curve name is looked up here.
     """
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
     blocks = []
     for name, exp in syllables:
-        seq = dissection.crossing_sequences.get(name)
+        seq = dissection._crossing_codes.get(name)
         if seq is None:
             raise ValueError(f"unknown surface generator {name!r}")
         check_exponent(name, exp)
@@ -157,7 +160,7 @@ def phi(word, dissection):
     letters = []
     for block, count in blocks:
         letters.extend(block * count)
-    return GroupWord(dissection._graph, letters)
+    return GroupWord._unreduced(dissection._graph, tuple(letters))
 
 
 def check_relator(dissection):

@@ -12,7 +12,8 @@ is a well-defined representative of that swap class.  One pass computes it,
 reducing as it goes: each syllable crosses the suffix it commutes with
 (`commuting_suffix_start`), then merges with an equal generator found just
 before that suffix or goes in at its `lex_insertion_point`.  The same two
-scans build every `Trace` and every term of the Magnus kernel.
+scans build every `Trace`; the Magnus kernel runs the same insertion on its
+terms packed into ints, reading the suffix back by shift and mask.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ class GroupWord:
         word.graph, word.codes, word._canonical = graph, codes, word
         return word
 
-    def _unreduced(self, codes):
-        """A word over this graph from checked codes, its canonical form unknown."""
-        word = object.__new__(GroupWord)
-        word.graph, word.codes, word._canonical = self.graph, codes, None
+    @classmethod
+    def _unreduced(cls, graph, codes):
+        """A word from a checked code tuple, its canonical form unknown."""
+        word = object.__new__(cls)
+        word.graph, word.codes, word._canonical = graph, codes, None
         return word
 
     @property
@@ -118,10 +120,10 @@ class GroupWord:
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
-        return self._unreduced(self.codes + other.codes)
+        return GroupWord._unreduced(self.graph, self.codes + other.codes)
 
     def inverse(self):
-        return self._unreduced(tuple((g, -e) for g, e in reversed(self.codes)))
+        return GroupWord._unreduced(self.graph, tuple((g, -e) for g, e in reversed(self.codes)))
 
     def __str__(self):
         if not self.codes:

@@ -12,8 +12,8 @@ import pytest
 from conftest import c4, f2, random_graph, random_word
 from raaglcs import (Dissection, Graph, GroupWord, Trace, TruncatedSeries,
                      commutator_witness, depth_function, enumerate_elements,
-                     in_dimension_subgroup, lcs_depth, mu, parse_word,
-                     standard_dissection, verify_depth_bound)
+                     in_dimension_subgroup, lcs_depth, mu, parse_word, phi,
+                     standard_dissection, surface_depth_check, verify_depth_bound)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -89,6 +89,13 @@ def test_names_read_only_where_words_are_built(monkeypatch):
     assert looked_up == []
     GroupWord(graph, [("a", 1)])
     assert looked_up == ["a"]
+    dissection = standard_dissection(3)
+    looked_up.clear()
+    assert str(phi("[a1,b2] a3^-2", dissection)) == \
+        "x0 x1^-1 x2 z y2 x2^-1 x1 x0^-1 x2 y2^-1 z^-1 x2^-1 x3 x2^-1 x3 x2^-1"
+    assert str(phi([("b3", -1), ("a2", 2)], dissection)) == "x3 y3^-1 z^-1 x3^-1 x1 x2^-1 x1 x2^-1"
+    assert surface_depth_check("[[a1,b2],a3]", dissection).depth == 3
+    assert looked_up == []
 
 
 def test_names_and_codes_round_trip():

@@ -543,19 +543,33 @@ def run_python(args, cwd, preexec_fn=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def cap_address_space():
+    """Limit a child's address space to 96 MiB; runs in the child only."""
+    limit = 96 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def test_depth_refusal_fits_an_address_space_limit(tmp_path):
     # F2 weight 11: the depth sweep charges the increments a round stores to
     # the work budget as the next round adds them back, so it is refused at
-    # about 72 MiB; without that charge it would reach about 100 MiB first.
+    # about 42 MiB peak RSS; without that charge it would reach about 52 MiB
+    # first.
     word = "a"
     for _ in range(10):
         word = f"[{word},b]"
-    limit = 96 * 2 ** 20
-
-    def cap_address_space():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     argv = ["-m", "raaglcs.cli", "depth", "--graph", f2_file(tmp_path), word]
+    assert run_python(argv, tmp_path, cap_address_space) == \
+        (2, "", "error: series computation needs more than 40000000 units of work\n")
+
+
+def test_magnus_refusal_fits_an_address_space_limit(tmp_path):
+    # At cap 1000, a^-1 b^-1 writes terms of up to 999 letters, charged a
+    # unit a letter.  Packed at a bit a letter, such a term is an int of
+    # about 160 bytes, so the query is refused at about 27 MiB peak RSS; as
+    # a tuple of 8 bytes a letter it took 279 MiB, and failed here with a
+    # MemoryError.
+    argv = ["-m", "raaglcs.cli", "magnus", "--graph", f2_file(tmp_path), "--cap", "1000",
+            "a^-1 b^-1"]
     assert run_python(argv, tmp_path, cap_address_space) == \
         (2, "", "error: series computation needs more than 40000000 units of work\n")
 

@@ -1,14 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import (f2, image_at_one_cap, p3, random_graph, random_word, series_one,
-                      z2)
+from conftest import (f2, image_at_one_cap, k3_minus_edge, p3, product_image, random_graph,
+                      random_word, series_one, z2)
 from raaglcs import magnus
-from raaglcs import (DepthResult, GroupWord, Trace, TruncatedSeries, commutator,
+from raaglcs import (DepthResult, Graph, GroupWord, Trace, TruncatedSeries, commutator,
                      commutator_witness, in_dimension_subgroup, lcs_depth, mu,
                      parse_word, syllable_factor)
+from raaglcs.graph import MAX_VERTICES
 
 
 def series(graph, cap, *terms):
@@ -267,6 +269,78 @@ def test_left_normed_commutators_reach_weight():
         assert not word.is_identity()
         assert in_dimension_subgroup(word, k)
         word = commutator(word, step).reduced()
+
+
+# --- packed terms ---
+
+def assert_matches_oracle(word, cap):
+    """mu below cap and the default lcs_depth against the tests' product
+    oracle, which keeps terms as letter-code tuples; every code the API
+    hands out is a tuple of ints, never the kernel's packed form."""
+    graph = word.graph
+    image = product_image(word, cap)
+    terms = mu(word, cap).terms
+    assert list(terms.items()) == [
+        (Trace(graph, [graph.vertices[a] for a in t]), image[t])
+        for t in sorted(image, key=lambda t: (len(t), t))]
+    result = lcs_depth(word)
+    if result.kind == "infinite":
+        assert word.is_identity()
+        traces = list(terms)
+    else:  # every cap above the depth answers as this one
+        (degree, letters), _ = image_at_one_cap(word, result.depth + 1)
+        witness = Trace(graph, [graph.vertices[a] for a in letters])
+        assert result == DepthResult.exact(degree, witness)
+        traces = list(terms) + [result.witness_trace]
+    assert all(type(t.codes) is tuple and all(type(c) is int for c in t.codes) for t in traces)
+
+
+def numbered_graph(rng, n, p):
+    names = [f"x{i}" for i in range(n)]
+    return Graph(names, [pair for pair in itertools.combinations(names, 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 40])
+def test_packed_terms_match_oracle_at_each_letter_width(n):
+    # Letters take max(1, (n - 1).bit_length()) bits: widths 1 to 6, each
+    # at its vertex counts 2^w and 2^w + 1.  Words run over vertex 0, the
+    # last vertex and two more, so the all-zero letter and the widest one
+    # both occur, on graphs with no edges and with random ones.
+    rng = random.Random(n)
+    for p in (0, 0.5, 0.9):
+        graph = numbered_graph(rng, n, p)
+        pool = sorted({0, n - 1, rng.randrange(n), rng.randrange(n)})
+        for _ in range(15):
+            syllables = [(graph.vertices[rng.choice(pool)], rng.choice([-3, -2, -1, 1, 2, 3]))
+                         for _ in range(rng.randint(1, 5))]
+            word = GroupWord(graph, syllables)
+            if rng.random() < 0.4:
+                word = commutator(word, GroupWord(graph, [(graph.vertices[rng.choice(pool)], 1)]))
+            assert_matches_oracle(word, rng.randint(2, 7))
+
+
+def test_runs_of_vertex_zero_keep_their_length():
+    # Vertex 0 packs to all-zero letters, so only the sentinel bit tells
+    # a a a from a a.  In k3 - e, c commutes with a and with b, vertex 1: a
+    # scan for c's insertion point that read the sentinel as a letter would
+    # carry on past it.
+    image = mu(parse_word("a^5", f2()), 8)
+    assert image.terms == {Trace(f2(), "a" * k): math.comb(5, k) for k in range(6)}
+    for graph, text in ((f2(), "a^5 b^-2 a^3"), (z2(), "a^3 b^2 a^-4"),
+                        (k3_minus_edge(), "a^3 c^2 b a^-2 c^-1"),
+                        (k3_minus_edge(), "[a^3, c^-2] [b, c] a^2")):
+        assert_matches_oracle(parse_word(text, graph), 9)
+    assert lcs_depth(parse_word("[[a^4,b],a^-3]", f2())).witness_trace == Trace(f2(), "aab")
+
+
+def test_widest_letters_match_oracle():
+    # MAX_VERTICES vertices take 15 bits a letter.
+    names = [f"x{i}" for i in range(MAX_VERTICES)]
+    graph = Graph(names)
+    assert magnus._letter_bits(graph) == 15
+    top = names[-1]
+    for text in (f"x0^2 {top}^-1 x0", f"[{top}^2, x0^-1]", f"[[x0,{top}],{top}] x0^3"):
+        assert_matches_oracle(parse_word(text, graph), 6)
 
 
 # --- the kernel's charges ---
