@@ -7,23 +7,13 @@ at least k, and for graph groups that filtration coincides with the lower
 central series (Duchamp-Krob 1992), so the minimal positive degree in the
 image is the element's exact lower-central-series depth.
 
-The image is computed by one kernel on packed ints.  A letter is its vertex
-index in w = max(1, (n - 1).bit_length()) bits, n the vertex count, and a
-term, a trace's lex-least letters, is one int: a sentinel 1 bit, then the
-letters, the first most significant; the constant term is the sentinel
-alone, 1.  Terms of one degree so compare as ints as their letter tuples
-compare lexicographically, and the sentinel tells a run of vertex 0 from a
-shorter one.  A series is a dict from terms to ints.  Multiplying a term t
-by s^k puts all k copies of s in at one place (Anisimov-Knuth insertion, as
-in `words.lex_insertion_point`: across the suffix of t that s commutes
-with, before its first greater letter), so the result is lex-least with no
-re-sort.  That suffix is read from the low end of t, a letter per shift and
-mask; with q letters after the insertion point the product is
-
-    ((t >> q w) << k w | s^k) << q w | t & (2^(q w) - 1),
-
-s^k being s times the repunit of k w-bit fields; when that suffix has no
-letter greater than s, q = 0 and it is t << k w | s^k.
+The image is computed by one kernel on packed ints: a term is the `key` of
+its `Trace`, w = `letter_bits` bits a letter, so terms of one degree compare
+as ints as their letters compare lexicographically, and a series is a dict
+from keys to ints.  Multiplying a term t by s^k puts all k copies of s in
+at one place, so the result is lex-least with no re-sort: with
+`words.insert_packed` when s commutes with the last letter of t, and as
+t << k w | s^k otherwise, s^k being s times the repunit of k w-bit fields.
 
 The kernel, `_degree_parts`, sweeps the degrees d = 1, 2, ... and yields
 the image's degree-d part in round d.  Let L_i be the image of the word's
@@ -61,13 +51,11 @@ round's increments are never read, so never charged.  `mu` refuses up
 front an exponent whose constant-term extensions s^1 .. s^k alone would
 pass the budget.
 
-The kernel reads a word's `codes`.  Packed terms never leave this module:
-`mu` unpacks each term of its result, and `lcs_depth` its witness, to the
-tuple of vertex indices that `Trace.codes` stores, and wraps it with no
-re-sort.  Names are read where a word is built and written where a result
-is printed, never here.  No library path runs generic series arithmetic;
-the tests check `mu` against a product of `math.comb` binomials on letter
-tuples.
+The kernel reads a word's `codes`, and `mu` and `lcs_depth` wrap its
+terms with `Trace._trusted` as they are: nothing is unpacked.  Names are
+read where a word is built and written where a result is printed, never
+here.  No library path runs generic series arithmetic; the tests check `mu`
+against a product of `math.comb` binomials on letter tuples.
 """
 
 from __future__ import annotations
@@ -76,7 +64,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .series import _CAP_MESSAGE, TruncatedSeries
-from .words import GroupWord, Trace, check_int
+from .words import GroupWord, Trace, check_int, insert_packed, letter_bits
 
 # Most work one `mu`, `in_dimension_subgroup` or `lcs_depth` call (over all
 # the rounds of its degree sweep) may do: one unit per letter written into a
@@ -104,17 +92,6 @@ def _over_budget():
     return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
 
 
-def _letter_bits(graph):
-    """Bits per letter of a packed term: enough for the highest vertex index."""
-    return max(1, (len(graph.vertices) - 1).bit_length())
-
-
-def _unpacked(term, w):
-    """The vertex indices of a packed term, first letter first, as `Trace.codes`."""
-    low = (1 << w) - 1
-    return tuple(term >> i & low for i in range((term.bit_length() - 1) // w * w - w, -1, -w))
-
-
 def _degree_parts(graph, codes, top):
     """Yields the image's degree-d part, {packed lex-least term: coefficient}
     with zero sums kept, for d = 1 .. top - 1 (fewer with no negative
@@ -127,7 +104,7 @@ def _degree_parts(graph, codes, top):
         top = min(top, sum(e for _, e in codes) + 1)
     budget = MAX_KERNEL_WORK
     masks = graph.masks
-    w = _letter_bits(graph)
+    w = letter_bits(graph)
     low = (1 << w) - 1
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
@@ -185,16 +162,10 @@ def _degree_parts(graph, codes, top):
                 shift = k * w
                 ks = s * ((1 << shift) - 1) // low  # the letters of s^k: s times a repunit
                 for t, c in layer.items():
-                    term = t << shift | ks
                     if mask >> (t & low) & 1:  # s commutes with the last letter of t
-                        x, bits, after = t, 0, 0  # after: the bits behind the insertion point
-                        while x > 1 and mask >> (a := x & low) & 1:  # x = 1: no letter left
-                            bits += w
-                            if a > s:
-                                after = bits
-                            x >>= w
-                        if after:
-                            term = ((t >> after) << shift | ks) << after | t & ((1 << after) - 1)
+                        term = insert_packed(t, s, ks, shift, mask, w)
+                    else:
+                        term = t << shift | ks
                     delta[term] = delta.get(term, 0) + c * b
             if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
                 delta = {t: c for t, c in delta.items() if c}
@@ -218,11 +189,10 @@ def mu(word, cap):
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()
     parts = list(_degree_parts(graph, codes, cap))  # a refused sweep sorts nothing
-    image = {1: 1}  # the constant term: the sentinel alone
+    image = {1: 1}  # the constant term, the empty trace's key
     for part in parts:
         image.update(sorted((t, c) for t, c in part.items() if c))
-    w = _letter_bits(graph)
-    terms = {Trace._trusted(graph, _unpacked(t, w)): c for t, c in image.items()}
+    terms = {Trace._trusted(graph, t): c for t, c in image.items()}
     return TruncatedSeries._trusted(graph, cap, terms)
 
 
@@ -276,9 +246,8 @@ def lcs_depth(word, cap=None):
         return DepthResult.infinite()
     graph = word.graph
     top = reduced.norm() + 1 if cap is None else min(cap, reduced.norm() + 1)
-    for part in _degree_parts(graph, reduced.codes, top):
+    for d, part in enumerate(_degree_parts(graph, reduced.codes, top), 1):
         term = min((t for t, c in part.items() if c), default=None)
         if term is not None:
-            codes = _unpacked(term, _letter_bits(graph))
-            return DepthResult.exact(len(codes), Trace._trusted(graph, codes))
+            return DepthResult.exact(d, Trace._trusted(graph, term))
     return DepthResult.at_least(top)

@@ -1,9 +1,9 @@
 """Syllable words over a commutation graph and traces in its positive monoid.
 
-A word or trace stores only its `codes`, each letter its vertex index.
-Names are read once, with `Graph.index`, where one is built from names, and
-written only where one is printed or its `syllables` or `letters` are read;
-`magnus`, `lab` and `surface` work on the codes.
+A word stores only its `codes`, each generator its vertex index, and a trace
+only its packed `key`.  Names are read once, with `Graph.index`, where one is
+built from names, and written only where one is printed or its `syllables`
+or `letters` are read; `magnus`, `lab` and `surface` work on codes and keys.
 
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
@@ -11,9 +11,8 @@ of adjacent commuting syllables, and the lexicographically least arrangement
 is a well-defined representative of that swap class.  One pass computes it,
 reducing as it goes: each syllable crosses the suffix it commutes with
 (`commuting_suffix_start`), then merges with an equal generator found just
-before that suffix or goes in at its `lex_insertion_point`.  The same two
-scans build every `Trace`; the Magnus kernel runs the same insertion on its
-terms packed into ints, reading the suffix back by shift and mask.
+before that suffix or goes in at its `lex_insertion_point`.  `insert_packed`
+runs the same insertion on a packed `Trace.key` and on the Magnus kernel's terms.
 """
 
 from __future__ import annotations
@@ -204,25 +203,37 @@ def lex_insertion_point(keys, key, start):
 
 
 class Trace:
-    """A positive monoid element, stored as its lex-least letter sequence.
+    """A positive monoid element, stored as one int `key`: a sentinel 1 bit,
+    then its lex-least letters, the first most significant, each its vertex
+    index in w = `letter_bits(graph)` bits.  The empty trace's key is 1.
 
     All words for the same trace have the same length, so `length` is
-    well-defined.  Traces are hashable values and multiply by concatenation
-    followed by re-canonicalization.  `codes` holds it as vertex indices.
+    well-defined; a key has 1 + length w bits, so keys order traces by
+    (length, lex), and the sentinel tells a run of vertex 0 from a shorter
+    one.  Traces are hashable values and multiply by `insert_packed` of each
+    letter of the right factor in turn; `codes` and `letters` read the key.
     """
 
-    __slots__ = ("graph", "codes")
+    __slots__ = ("graph", "key")
 
     def __init__(self, graph, letters=()):
-        self.graph = graph
-        self.codes = _appended(graph.masks, (), [graph.index(a) for a in letters])
+        masks, w, key = graph.masks, letter_bits(graph), 1
+        for s in [graph.index(a) for a in letters]:
+            key = insert_packed(key, s, s, w, masks[s], w)
+        self.graph, self.key = graph, key
 
     @classmethod
-    def _trusted(cls, graph, codes):
-        """A trace from vertex indices already in lex-least order; nothing is checked."""
+    def _trusted(cls, graph, key):
+        """A trace from a packed key of lex-least letters; nothing is checked."""
         trace = object.__new__(cls)
-        trace.graph, trace.codes = graph, codes
+        trace.graph, trace.key = graph, key
         return trace
+
+    @property
+    def codes(self):
+        """The letters as vertex indices, first letter first."""
+        key, w = self.key, letter_bits(self.graph)
+        return tuple(key >> i & (1 << w) - 1 for i in range(key.bit_length() - 1 - w, -1, -w))
 
     @property
     def letters(self):
@@ -230,40 +241,59 @@ class Trace:
 
     @property
     def length(self):
-        return len(self.codes)
+        return (self.key.bit_length() - 1) // letter_bits(self.graph)
 
     def sort_key(self):
-        return (len(self.codes), self.codes)
+        return self.key
 
     def __mul__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("traces live over different graphs")
-        return Trace._trusted(self.graph, _appended(self.graph.masks, self.codes, other.codes))
+        masks, w, key = self.graph.masks, letter_bits(self.graph), self.key
+        for s in other.codes:
+            key = insert_packed(key, s, s, w, masks[s], w)
+        return Trace._trusted(self.graph, key)
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.codes == other.codes and self.graph == other.graph
+        return self.key == other.key and self.graph == other.graph
 
     def __hash__(self):
-        return hash((self.graph, self.codes))
+        return hash((self.graph, self.key))
 
     def __str__(self):
-        return "*".join(self.letters) if self.codes else "ε"
+        return "*".join(self.letters) if self.key != 1 else "ε"
 
     def __repr__(self):
         return f"<Trace {self}>"
 
 
-def _appended(masks, codes, letters):
-    """Lex-least `codes` with vertex indices `letters` appended one at a time."""
-    codes = list(codes)
-    for code in letters:
-        start = commuting_suffix_start(codes, masks[code])
-        codes.insert(lex_insertion_point(codes, code, start), code)
-    return tuple(codes)
+def letter_bits(graph):
+    """Bits per letter of a packed trace: enough for the highest vertex index."""
+    return max(1, (len(graph.vertices) - 1).bit_length())
+
+
+def insert_packed(key, s, run, shift, mask, w):
+    """A `Trace.key` times s^k, `run` holding the k copies of s in its low
+    shift = k w bits and mask being s's adjacency bitmask.
+
+    The run goes in at its Anisimov-Knuth point, as in `lex_insertion_point`:
+    across the suffix of key that s commutes with, read from the low end a
+    letter per shift and mask, before that suffix's first letter greater
+    than s.  With q letters after that point the lex-least result is
+    ((key >> q w) << k w | run) << q w | key & (2^(q w) - 1).
+    """
+    low = (1 << w) - 1
+    x, bits, after = key, 0, 0  # after: the bits behind the insertion point
+    while x > 1 and mask >> (a := x & low) & 1:  # x = 1: no letter left
+        bits += w
+        if a > s:
+            after = bits
+        x >>= w
+    return ((key >> after) << shift | run) << after | key & ((1 << after) - 1)
 
 
 # A bracket or comma, a syllable `gen` or `gen^E`, or any other non-space character.

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import random
 import resource
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raaglcs
-from raaglcs import Dissection, format_dissection, standard_dissection
-from raaglcs import cli
+from raaglcs import DepthResult, Dissection, Graph, format_dissection, standard_dissection
+from raaglcs import cli, lab
 from raaglcs.cli import run
 
 
@@ -106,6 +107,19 @@ def test_verify_passes(tmp_path, capsys):
     assert lines[-1] == "PASS"
 
 
+def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # Exit 1 is the CLI's "a verification failed": an lcs_depth that read
+    # every element of [F2, F2] one deeper than its norm makes each a violation.
+    monkeypatch.setattr(lab, "lcs_depth", lambda word: DepthResult.exact(word.norm() + 1))
+    assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    violations = [line for line in lines if line.startswith("VIOLATION: ")]
+    assert len(violations) == 8  # the commutators [a^+-1, b^+-1] and [b^+-1, a^+-1]
+    assert violations[0] == "VIOLATION: word=a^-1 b^-1 a b norm=4 depth=5"
+    assert "norm=4 depth=5 count=8" in lines
+    assert lines[-1] == "FAIL"
+
+
 def test_one_vertex_walk_is_linear_in_the_norm(tmp_path, capsys):
     # 199,999 elements, inside the ball bound; a walk that tried every
     # exponent at every node took minutes here.
@@ -135,6 +149,21 @@ def test_search_budget_exit_two(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: the ball of norm <= 30 has more than")
         assert len(captured.err.splitlines()) == 1
+
+
+def test_clique_count_refusal_exit_two(tmp_path, capsys):
+    # K120 has more than MAX_BALL_ELEMENTS cliques of size <= 3, so the
+    # growth series is refused while the cliques are still being counted.
+    names = [f"v{i}" for i in range(120)]
+    edges = list(itertools.combinations(names, 2))
+    assert lab._sphere_sizes(Graph(names, edges), 3, lab.MAX_BALL_ELEMENTS) is None
+    path = graph_file(tmp_path, f"vertices: {' '.join(names)}\n"
+                      f"edges: {' '.join(f'{u}-{v}' for u, v in edges)}\n")
+    assert run(["verify", "--graph", path, "--max-norm", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the ball of norm <= 3 has more than "
+                            f"{lab.MAX_BALL_ELEMENTS} elements; lower the norm bound\n")
 
 
 def test_depth_work_bound_exit_two(tmp_path, capsys):
@@ -416,6 +445,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["magnus", "--graph", f2_file(tmp_path), "--cap", "0", "a"]) == 2
     assert run(["dfun", "--graph", z2_file(tmp_path), "--k", "2"]) == 2  # complete graph
     capsys.readouterr()
+    assert run(["depth", "--graph", f2_file(tmp_path), "--cap", "x", "a"]) == 2
+    assert capsys.readouterr().err == \
+        "error: argument --cap: expected a positive integer, got 'x'\n"
 
 
 def test_unknown_generator_exit_two(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_duplicate_vertex_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(ValueError, match="not a declared vertex"):
         Graph(["a", "b"], [("a", "c")])
+    with pytest.raises(ValueError, match="endpoint 'c' is not a declared vertex"):
+        Graph(["a", "b"], [("c", "a")])  # the first endpoint is checked too
 
 
 @pytest.mark.parametrize("name", ["", "a-b", "a b", "a,b", 7])

@@ -11,6 +11,7 @@ from raaglcs import (DepthResult, Graph, GroupWord, Trace, TruncatedSeries, comm
                      commutator_witness, in_dimension_subgroup, lcs_depth, mu,
                      parse_word, syllable_factor)
 from raaglcs.graph import MAX_VERTICES
+from raaglcs.words import letter_bits
 
 
 def series(graph, cap, *terms):
@@ -275,8 +276,8 @@ def test_left_normed_commutators_reach_weight():
 
 def assert_matches_oracle(word, cap):
     """mu below cap and the default lcs_depth against the tests' product
-    oracle, which keeps terms as letter-code tuples; every code the API
-    hands out is a tuple of ints, never the kernel's packed form."""
+    oracle, which keeps terms as letter-code tuples; every trace's `codes`
+    reads its packed key back as a tuple of ints."""
     graph = word.graph
     image = product_image(word, cap)
     terms = mu(word, cap).terms
@@ -337,7 +338,7 @@ def test_widest_letters_match_oracle():
     # MAX_VERTICES vertices take 15 bits a letter.
     names = [f"x{i}" for i in range(MAX_VERTICES)]
     graph = Graph(names)
-    assert magnus._letter_bits(graph) == 15
+    assert letter_bits(graph) == 15
     top = names[-1]
     for text in (f"x0^2 {top}^-1 x0", f"[{top}^2, x0^-1]", f"[[x0,{top}],{top}] x0^3"):
         assert_matches_oracle(parse_word(text, graph), 6)

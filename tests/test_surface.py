@@ -67,6 +67,8 @@ def test_component_validation():
         tiny_dissection(components=[[("e1", "x"), ("e2", "y")], []])
     with pytest.raises(ValueError, match="component list has no circuits"):
         tiny_dissection(components=[])
+    with pytest.raises(ValueError, match="empty edge id in component circuit"):
+        tiny_dissection(components=[[("", "x")]])
 
 
 def test_curve_names_checked_at_construction():

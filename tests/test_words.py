@@ -197,6 +197,25 @@ def test_trace_multiplication_lengths_add():
         assert (t1 * t2).length == t1.length + t2.length
 
 
+def test_trace_keys_order_by_length_then_lex():
+    rng = random.Random(19)
+    for _ in range(50):
+        g = random_graph(rng)
+        traces = [Trace(g, [rng.choice(g.vertices) for _ in range(rng.randint(0, 4))])
+                  for _ in range(8)]
+        assert all(type(t.key) is int and t.sort_key() == t.key for t in traces)
+        assert sorted(traces, key=Trace.sort_key) == sorted(traces, key=lambda t: (t.length, t.codes))
+
+
+def test_trace_printing_and_cross_graph_product():
+    assert str(Trace(f2())) == "ε"
+    trace = Trace(p3(), "cba")  # b commutes with c and goes before it; a does not
+    assert str(trace) == "b*c*a"
+    assert repr(trace) == "<Trace b*c*a>"
+    with pytest.raises(ValueError, match="traces live over different graphs"):
+        Trace(f2()) * Trace(z2())
+
+
 # --- parsing and printing ---
 
 def test_parse_basic_syllables():
