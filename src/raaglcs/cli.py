@@ -219,8 +219,9 @@ def _dispatch(args):
             print(f"|w|_S={report.surface_length} phi(w)=1")
             return 0
         status = "ok" if report.bound_holds else "FAIL"
+        depth = f"={report.depth}" if report.depth is not None else f">={report.image_norm + 1}"
         print(f"|w|_S={report.surface_length} |phi(w)|_T={report.image_norm} "
-              f"depth={report.depth} 4*|w|_S>=depth: {status}")
+              f"depth{depth} 4*|w|_S>=depth: {status}")
         return 0 if report.bound_holds else 1
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -253,8 +253,8 @@ class VerifyReport:
 
     max_norm: int
     checked: int
-    cells: dict        # (norm, depth) -> element count
-    violations: list   # (word, norm, depth) with depth > norm
+    cells: dict        # (norm, depth) -> element count, depths the search reached
+    violations: list   # (word, norm, depth) with depth > norm, or None past the search
 
     @property
     def passed(self):
@@ -264,7 +264,8 @@ class VerifyReport:
         out = [f"norm={n} depth={d} count={c}" for (n, d), c in sorted(self.cells.items())]
         out.append(f"checked={self.checked} max_norm={self.max_norm}")
         for word, n, d in self.violations:
-            out.append(f"VIOLATION: word={word} norm={n} depth={d}")
+            out.append(f"VIOLATION: word={word} norm={n} depth" +
+                       (f"={d}" if d is not None else f">={n + 1}"))
         out.append("PASS" if self.passed else "FAIL")
         return out
 
@@ -276,7 +277,9 @@ def verify_depth_bound(graph, max_norm):
     `_sphere`, and go through `lcs_depth`.  Every other element has depth 1,
     and each sphere's count of them is its size from the growth series less
     the elements walked, so none of them is generated.  Complete graphs are
-    allowed (a degenerate run where every depth is 1).
+    allowed (a degenerate run where every depth is 1).  `lcs_depth` searches
+    no deeper than the norm, so an element it finds no depth for is a
+    violation of depth None, counted in `checked` but in no cell.
     """
     spheres = _ball(graph, max_norm)
     cells = {}
@@ -286,10 +289,11 @@ def verify_depth_bound(graph, max_norm):
         for codes in _sphere(graph, n, True):
             word = GroupWord._trusted(graph, codes)
             d = lcs_depth(word).depth
-            if d > n:
+            if d is None or d > n:
                 violations.append((word, n, d))
+            if d is not None:
+                cells[(n, d)] = cells.get((n, d), 0) + 1
             inside += 1
-            cells[(n, d)] = cells.get((n, d), 0) + 1
         if spheres[n] > inside:  # a nonzero abelianisation: depth 1
             cells[(n, 1)] = cells.get((n, 1), 0) + spheres[n] - inside
     return VerifyReport(max_norm, sum(spheres[1:]), cells, violations)

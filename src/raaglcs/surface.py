@@ -278,7 +278,8 @@ class SurfaceDepthReport:
 
     surface_length is the written length of the word; image_norm the geodesic
     length of its image over the curves; depth is None when the image is
-    trivial (nothing to check).
+    trivial (nothing to check) and when `lcs_depth`, which searches no deeper
+    than image_norm, reached no depth (a failed check).
     """
 
     surface_length: int
@@ -287,11 +288,13 @@ class SurfaceDepthReport:
 
     @property
     def trivial_image(self):
-        return self.depth is None
+        return self.image_norm == 0
 
     @property
     def bound_holds(self):
-        return self.depth is None or 4 * self.surface_length >= self.depth
+        if self.depth is None:  # trivial, or deeper than the search went
+            return self.trivial_image
+        return 4 * self.surface_length >= self.depth
 
 
 def surface_depth_check(word, dissection):

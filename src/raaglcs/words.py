@@ -8,11 +8,12 @@ or `letters` are read; `magnus`, `lab` and `surface` work on codes and keys.
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
 of adjacent commuting syllables, and the lexicographically least arrangement
-is a well-defined representative of that swap class.  One pass computes it,
-reducing as it goes: each syllable crosses the suffix it commutes with
-(`commuting_suffix_start`), then merges with an equal generator found just
-before that suffix or goes in at its `lex_insertion_point`.  `insert_packed`
-runs the same insertion on a packed `Trace.key` and on the Magnus kernel's terms.
+is a well-defined representative of that swap class.  One pass of
+`GroupWord.canonical` computes it, reducing as it goes: each syllable crosses
+the suffix it commutes with, then merges with an equal generator found just
+before that suffix or goes in before the suffix's first greater generator.
+`insert_packed` runs the same insertion on a packed `Trace.key` and on the
+Magnus kernel's terms.
 """
 
 from __future__ import annotations
@@ -71,34 +72,45 @@ class GroupWord:
 
         Syllables compare by (generator order, exponent) and two syllables
         commute iff their generators are adjacent.  Each syllable is appended
-        to the canonical form of the prefix before it: it crosses the suffix
-        it commutes with, and if the syllable just before that suffix has the
-        same generator the two merge (and vanish on a zero sum); otherwise it
-        goes in at its `lex_insertion_point`.  Merging changes an exponent or
-        removes a syllable that everything after it commutes with, so the
-        result stays fully reduced and lex-least.  Each syllable scans the
-        suffix it crosses, so the pass is quadratic in the worst case: in
-        (y z x)^N, x adjacent to y and z, each x crosses all y and z before it.
+        to the canonical form of the prefix before it.  A backward scan finds
+        the suffix it commutes with.  If the syllable just before that suffix
+        has the same generator the two merge (and vanish on a zero sum).
+        Otherwise a forward scan puts it before the suffix's first greater
+        generator; no syllable of the suffix has its generator, since a vertex
+        is not adjacent to itself, so that scan compares generators only.  By
+        the Anisimov-Knuth characterization (Inhomogeneous sorting, 1979;
+        Diekert-Rozenberg, The Book of Traces, 1995) a sequence is the
+        lex-least of its commutation class iff it has no factor b u a with
+        a < b and a commuting with b and with every letter of u, so this keeps
+        the form lex-least.  Merging changes an exponent or removes a syllable
+        that everything after it commutes with, so the result stays fully
+        reduced and lex-least.  Each syllable scans the suffix it crosses, so
+        the pass is quadratic in the worst case: in (y z x)^N, x adjacent to
+        y and z, each x crosses all y and z before it.
         """
         if self._canonical is not None:
             return self._canonical
         masks = self.graph.masks
-        keys, gens = [], []
+        gens, exps = [], []
         for g, exp in self.codes:
             if not exp:
                 continue
-            start = commuting_suffix_start(gens, masks[g])
+            mask, start = masks[g], len(gens)
+            while start and mask >> gens[start - 1] & 1:
+                start -= 1
             if start and gens[start - 1] == g:
-                exp += keys[start - 1][1]
+                exp += exps[start - 1]
                 if exp:
-                    keys[start - 1] = (g, exp)
+                    exps[start - 1] = exp
                 else:
-                    del keys[start - 1], gens[start - 1]
+                    del gens[start - 1], exps[start - 1]
             else:
-                pos = lex_insertion_point(keys, (g, exp), start)
-                keys.insert(pos, (g, exp))
-                gens.insert(pos, g)
-        self._canonical = GroupWord._trusted(self.graph, tuple(keys))
+                end = len(gens)
+                while start < end and gens[start] < g:
+                    start += 1
+                gens.insert(start, g)
+                exps.insert(start, exp)
+        self._canonical = GroupWord._trusted(self.graph, tuple(zip(gens, exps)))
         return self._canonical
 
     def equals(self, other):
@@ -170,36 +182,6 @@ def check_int(value, least, message):
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()
-
-
-def commuting_suffix_start(gens, mask):
-    """Start of the longest suffix of `gens` whose generators all lie in `mask`.
-
-    gens holds generator indices and mask is the adjacency bitmask of a
-    generator g, so this is where the suffix that g commutes with begins.
-    """
-    pos = len(gens)
-    while pos and mask >> gens[pos - 1] & 1:
-        pos -= 1
-    return pos
-
-
-def lex_insertion_point(keys, key, start):
-    """Position at which `key` goes when appended to the lex-least sequence `keys`.
-
-    start is the `commuting_suffix_start` of key's generator in keys; two
-    entries commute iff their generators are adjacent.  By the Anisimov-Knuth
-    characterization (Inhomogeneous sorting, 1979; Diekert-Rozenberg, The
-    Book of Traces, 1995) a sequence is the lex-least of its commutation class
-    iff it has no factor b u a with a < b and a commuting with b and with every
-    letter of u.  So the appended key moves left across the maximal suffix it
-    commutes with and stops before the first entry of that suffix that is
-    greater than it: linear time, and the result is again lex-least.
-    """
-    end = len(keys)
-    while start < end and keys[start] < key:
-        start += 1
-    return start
 
 
 class Trace:
@@ -280,7 +262,7 @@ def insert_packed(key, s, run, shift, mask, w):
     """A `Trace.key` times s^k, `run` holding the k copies of s in its low
     shift = k w bits and mask being s's adjacency bitmask.
 
-    The run goes in at its Anisimov-Knuth point, as in `lex_insertion_point`:
+    The run goes in at its Anisimov-Knuth point, as in `GroupWord.canonical`:
     across the suffix of key that s commutes with, read from the low end a
     letter per shift and mask, before that suffix's first letter greater
     than s.  With q letters after that point the lex-least result is

@@ -11,7 +11,6 @@ import os
 from hypothesis import settings
 
 from raaglcs import Graph, GroupWord, Trace, TruncatedSeries
-from raaglcs.words import commuting_suffix_start, lex_insertion_point
 
 # CI runs with HYPOTHESIS_PROFILE=ci, so a failing property prints the blob
 # that replays it with @reproduce_failure.
@@ -61,7 +60,11 @@ def random_word(rng, graph, max_syllables=4, max_exp=3):
 
 def swap_closure_lex_min(word):
     """Oracle for canonical forms: breadth-first closure of single swaps of
-    adjacent commuting syllables on the fully reduced word, then lex-min."""
+    adjacent commuting syllables on the fully reduced word, then lex-min.
+
+    It starts from `word.reduced()`, so it checks only that the canonical
+    form is the lex-least arrangement of its swap class; that the reduction
+    itself is right is checked by the piling oracle, `piling_norm`."""
     graph = word.graph
     start = word.reduced().syllables
     seen = {start}
@@ -165,7 +168,11 @@ def product_image(word, cap):
     """The single-cap reference for the degree sweep in `magnus`: the word's
     image below this one cap, not reduced first, as {lex-least letter codes:
     nonzero coefficient}.  It multiplies 1 on the right by each syllable's
-    (1 + s)^e in turn, with binomials from math.comb and no work budget."""
+    (1 + s)^e in turn, with binomials from math.comb and no work budget.
+    The powers of s go in by its own scan, sharing no code with
+    `GroupWord.canonical` or the kernel's `insert_packed`: back across the
+    letters of t that commute with s, and before the first of them greater
+    than s."""
     graph = word.graph
     image = {(): 1}
     for s, e in word.syllables:
@@ -174,7 +181,12 @@ def product_image(word, cap):
         code = graph.index(s)
         out = {}
         for t, c in image.items():
-            pos = lex_insertion_point(t, code, commuting_suffix_start(t, graph.masks[code]))
+            pos = len(t)
+            for i in range(len(t) - 1, -1, -1):
+                if not graph.are_adjacent(s, graph.vertices[t[i]]):
+                    break
+                if t[i] > code:
+                    pos = i
             for k in range(cap - len(t)):
                 b = math.comb(e, k) if e > 0 else (-1) ** k * math.comb(-e + k - 1, k)
                 if not b:  # k > e > 0
@@ -216,8 +228,12 @@ def binomial_factor(graph, s, e, cap):
 
 
 def generic_mu(word, cap):
-    """mu by the generic path, independent of the kernel in `magnus`: the
-    series product of the syllables' binomial factors."""
+    """mu by the generic path: the series product of the syllables' binomial
+    factors.  It does not run the kernel's degree sweep, but it shares the
+    kernel's insertion: `TruncatedSeries.__mul__` multiplies traces by
+    `Trace.__mul__`, which inserts each letter with `insert_packed`, the
+    kernel's own routine.  `product_image` is the oracle that shares no
+    insertion code."""
     out = series_one(word.graph, cap)
     for s, e in word.syllables:
         out = out * binomial_factor(word.graph, s, e, cap)

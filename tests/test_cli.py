@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import raaglcs
 from raaglcs import DepthResult, Dissection, Graph, format_dissection, standard_dissection
-from raaglcs import cli, lab
+from raaglcs import cli, lab, surface
 from raaglcs.cli import run
 
 
@@ -109,15 +109,22 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     # Exit 1 is the CLI's "a verification failed": an lcs_depth that read
-    # every element of [F2, F2] one deeper than its norm makes each a violation.
-    monkeypatch.setattr(lab, "lcs_depth", lambda word: DepthResult.exact(word.norm() + 1))
-    assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "4"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    violations = [line for line in lines if line.startswith("VIOLATION: ")]
-    assert len(violations) == 8  # the commutators [a^+-1, b^+-1] and [b^+-1, a^+-1]
-    assert violations[0] == "VIOLATION: word=a^-1 b^-1 a b norm=4 depth=5"
-    assert "norm=4 depth=5 count=8" in lines
-    assert lines[-1] == "FAIL"
+    # every element of [F2, F2] deeper than its norm makes each a violation,
+    # whether as an exact depth or as the at_least bound that lcs_depth
+    # returns when its search, which stops at the norm, finds nothing.
+    # An unreached depth is in no cell, but still counted in checked=.
+    for result, depth_text, norm4_cells in (
+            (DepthResult.exact, "depth=5", ["norm=4 depth=1 count=100", "norm=4 depth=5 count=8"]),
+            (DepthResult.at_least, "depth>=5", ["norm=4 depth=1 count=100"])):
+        monkeypatch.setattr(lab, "lcs_depth", lambda word: result(word.norm() + 1))
+        assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        violations = [line for line in lines if line.startswith("VIOLATION: ")]
+        assert len(violations) == 8  # the commutators [a^+-1, b^+-1] and [b^+-1, a^+-1]
+        assert violations[0] == f"VIOLATION: word=a^-1 b^-1 a b norm=4 {depth_text}"
+        assert [line for line in lines if line.startswith("norm=4 ")] == norm4_cells
+        assert "checked=160 max_norm=4" in lines
+        assert lines[-1] == "FAIL"
 
 
 def test_one_vertex_walk_is_linear_in_the_norm(tmp_path, capsys):
@@ -436,6 +443,15 @@ def test_surface_depth(capsys):
 def test_surface_depth_trivial_image(capsys):
     assert run(["surface-depth", "--genus", "2", "[a1,b1] [a2,b2]"]) == 0
     assert capsys.readouterr().out == "|w|_S=8 phi(w)=1\n"
+
+
+def test_surface_depth_unreached_fails(capsys, monkeypatch):
+    # A depth past the search's reach is a failed check, not a trivial image.
+    monkeypatch.setattr(surface, "lcs_depth", lambda word: DepthResult.at_least(word.norm() + 1))
+    report = surface.surface_depth_check("[a1,b1]", standard_dissection(2))
+    assert (report.trivial_image, report.bound_holds) == (False, False)
+    assert run(["surface-depth", "--genus", "2", "[a1,b1]"]) == 1
+    assert capsys.readouterr().out == "|w|_S=4 |phi(w)|_T=4 depth>=5 4*|w|_S>=depth: FAIL\n"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
