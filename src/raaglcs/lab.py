@@ -55,7 +55,7 @@ from math import comb
 from typing import Optional
 
 from .magnus import in_dimension_subgroup, lcs_depth
-from .words import GroupWord, check_int, commutator
+from .words import GroupWord, check_int, check_word_size, commutator
 
 # Enumerations, sweeps and depth-function scans refuse balls larger than
 # this.  It admits the ball of C4 up to norm 8 (139,969 elements); the list
@@ -232,7 +232,9 @@ def commutator_witness(graph, k):
     """Left-normed commutator [..[[s,t],t].., t] of weight k.
 
     s, t is the first non-adjacent vertex pair in declaration order; the
-    result lies in the k-th lower central term by construction.
+    result lies in the k-th lower central term by construction.  It has
+    about 2^k syllables, and a bracket that would pass MAX_WORD_SYLLABLES is
+    refused before it is built.
     """
     check_int(k, 1, "k must be >= 1")
     pair = next(((u, v) for u, v in combinations(graph.vertices, 2)
@@ -243,6 +245,7 @@ def commutator_witness(graph, k):
     word = GroupWord(graph, [(s, 1)])
     step = GroupWord(graph, [(t, 1)])
     for _ in range(k - 1):
+        check_word_size(2 * len(word.codes) + 2)
         word = commutator(word, step).reduced()
     return word
 

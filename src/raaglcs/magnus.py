@@ -17,18 +17,22 @@ t << k w | s^k otherwise, s^k being s times the repunit of k w-bit fields.
 
 The kernel, `_degree_parts`, sweeps the degrees d = 1, 2, ... and yields
 the image's degree-d part in round d.  Let L_i be the image of the word's
-first i syllables and L_i^d its degree-d part.  Round d visits each syllable
-s^e once and computes its increment D_i^d = L_(i+1)^d - L_i^d from lower
-degrees:
+first i syllables and L_i^d its degree-d part.  Round d computes each
+syllable s^e's increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
 
     e > 0:       D_i^d =  sum over k = 1 .. min(e, d) of C(e, k) L_i^(d-k) s^k
     e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
-layers, with L^0 = 1 read as the constant term, never copied.  Each round
-rebuilds the running layers L_i^j, d - max|e| <= j < d, from the increments
-stored for those degrees, each only as far in i as a read needs, and frees
-an increment once the last round that reads it has: a long word holds
+layers, with L^0 = 1 read as the constant term, never copied.  The round
+is layer-major: for k = 1 .. min(max |e|, d) it makes one pass, in word
+order, over the syllables with |e| >= k, rebuilding the one running layer
+L_i^(d-k) from the increments stored for that degree only as far in i as
+the pass reads it, and adding its k-th term to each increment; the pass
+k = d reads the constant term alone.  The k = 1 pass meets every syllable
+and builds its increment, whose terms cannot collide, t -> t s being
+injective.  One running layer is alive at a time, and an increment is
+freed once the last round that reads it has: a long word holds
 increments, never a whole layer per syllable, and none of a positive last
 syllable, which no read reaches past.  Round d's part is the final L^d, the
 sum of its increments; with no negative exponent there is no term past the
@@ -51,7 +55,7 @@ round's increments are never read, so never charged.  `mu` refuses up
 front an exponent whose constant-term extensions s^1 .. s^k alone would
 pass the budget.
 
-The kernel reads a word's `codes`, and `mu` and `lcs_depth` wrap its
+The kernel reads a reduced word's `codes`, and `mu` and `lcs_depth` wrap its
 terms with `Trace._trusted` as they are: nothing is unpacked.  Names are
 read where a word is built and written where a result is printed, never
 here.  No library path runs generic series arithmetic; the tests check `mu`
@@ -108,6 +112,9 @@ def _degree_parts(graph, codes, top):
     low = (1 << w) - 1
     width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
+    # (i, s, e, C(|e|, .), at): at is the i of the L_i the recurrence reads
+    syllables = [(i, s, e, rows[abs(e)], i if e > 0 else i + 1) for i, (s, e) in enumerate(codes)]
+    merging = [x[0] for x in syllables if abs(x[2]) > 1]  # increments passes k > 1 add to
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
     work = 0
     for d in range(1, top):
@@ -119,72 +126,89 @@ def _degree_parts(graph, codes, top):
                     raise _over_budget()
                 row.append(coeff)
         last = d - width  # no later round reads degree `last`
-        layers = {}  # degree j -> [i, L_i^j], brought only as far as a read needs
-        stored, total = [], {}
-        for i, (s, e) in enumerate(codes):
-            n = abs(e)
-            row = rows[n]
-            mask = masks[s]
-            at = i if e > 0 else i + 1  # the recurrence reads L_i, or L_(i + 1)
-            delta = {}
-            for k in range(1, min(n, d) + 1):
-                b = row[k] if e > 0 else -row[k]
-                if k == d:  # s^d from the constant term, the sentinel 1
-                    work += _VISIT + d
-                    term = 1 << d * w | s * ((1 << d * w) - 1) // low
-                    delta[term] = delta.get(term, 0) + b
-                    continue
-                j = d - k
-                start, layer = entry = layers.setdefault(j, [0, {}])
-                if start < at:  # add the increments D_start^j .. D_(at - 1)^j back
-                    increments = steps[j]
-                    work += _VISIT * sum(len(increments[q]) for q in range(start, at))
+        reading = syllables
+        deltas = []  # D_i^d, built by the k = 1 pass and added to by the later ones
+        for k in range(1, min(width, d) + 1):
+            if k - 1 in rows:  # a syllable with |e| = k - 1 reads no further
+                reading = [x for x in reading if abs(x[2]) >= k]
+            shift = k * w
+            if k == d:  # s^d from the constant term, the sentinel 1
+                work += (_VISIT + d) * len(reading)
+                if work > budget:
+                    raise _over_budget()
+                for i, s, e, row, _ in reading:
+                    term = 1 << shift | s * ((1 << shift) - 1) // low
+                    b = row[k] if e > 0 else -row[k]
+                    if k == 1:
+                        deltas.append({term: b})
+                    else:
+                        delta = deltas[i]
+                        delta[term] = delta.get(term, 0) + b
+                continue
+            increments = steps[d - k]
+            free = k == width  # the last round to read these increments
+            start, layer = 0, {}  # L_start^(d - k), brought forward as the reads need
+            for i, s, e, row, at in reading:
+                while start < at:  # add D_start^(d - k) back
+                    increment = increments[start]
+                    work += _VISIT * len(increment)
                     if work > budget:
                         raise _over_budget()
-                    for q in range(start, at):
-                        for t, c in increments[q].items():
-                            c += layer.get(t, 0)
-                            if c:
-                                layer[t] = c
-                            else:
-                                del layer[t]
-                        if j == last:
-                            increments[q] = None
-                    entry[0] = at
+                    for t, c in increment.items():
+                        c += layer.get(t, 0)
+                        if c:
+                            layer[t] = c
+                        else:
+                            del layer[t]
+                    if free:
+                        increments[start] = None
+                    start += 1
                 work += _VISIT + len(layer) * (_VISIT + d)  # the read; a visit, d letters per term
-                if not layer:
+                if not layer and k > 1:  # the k = 1 pass builds every increment, empty or not
                     continue
+                b = row[k] if e > 0 else -row[k]
                 v = b.bit_length() >> 6
                 if v:  # each product c * b: (u + 1) v units, u the extra words of c
                     work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
                 if work > budget:
                     raise _over_budget()
-                shift = k * w
+                mask = masks[s]
                 ks = s * ((1 << shift) - 1) // low  # the letters of s^k: s times a repunit
+                if k == 1:  # t -> t s is injective: no two terms collide
+                    deltas.append({(insert_packed(t, s, ks, shift, mask, w) if mask >> (t & low) & 1
+                                    else t << shift | ks): c * b for t, c in layer.items()})
+                    continue
+                delta = deltas[i]
                 for t, c in layer.items():
                     if mask >> (t & low) & 1:  # s commutes with the last letter of t
                         term = insert_packed(t, s, ks, shift, mask, w)
                     else:
                         term = t << shift | ks
                     delta[term] = delta.get(term, 0) + c * b
-            if n > 1:  # for |e| = 1, t -> t s is injective: no zero sums
-                delta = {t: c for t, c in delta.items() if c}
-            if work > budget:
-                raise _over_budget()
-            if e < 0 or i < len(codes) - 1:  # no read reaches past a positive last syllable
-                stored.append(delta)
+        if work > budget:  # a skipped empty read is charged but not yet checked
+            raise _over_budget()
+        for i in merging:  # drop the zero sums a later pass left
+            deltas[i] = {t: c for t, c in deltas[i].items() if c}
+        total = {}
+        for delta in deltas:
             for t, c in delta.items():
                 total[t] = total.get(t, 0) + c
+        if codes[-1][1] > 0:  # no read reaches past a positive last syllable
+            deltas[-1] = None
         yield total
         steps.pop(last, None)
-        steps[d] = stored
+        steps[d] = deltas
 
 
 def mu(word, cap):
-    """Image of a word under generator -> 1 + generator, truncated below cap."""
+    """Image of a word under generator -> 1 + generator, truncated below cap.
+
+    The sweep runs on `word.reduced()`, the same element, so a word equal to
+    the identity is never refused: its image is 1.
+    """
     check_int(cap, 1, _CAP_MESSAGE)
     graph = word.graph
-    codes = [(g, e) for g, e in word.codes if e]
+    codes = word.reduced().codes
     k = max((cap - 1 if e < 0 else min(e, cap - 1) for _, e in codes), default=0)
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()

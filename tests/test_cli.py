@@ -248,6 +248,13 @@ def test_magnus_positive_word_at_huge_cap(tmp_path, capsys):
     assert capsys.readouterr().out == "1 + 1*a + 1*b + 1*a*b\n"
 
 
+def test_magnus_identity_word_is_one(tmp_path, capsys):
+    # mu sweeps the reduced word, so a word equal to the identity is answered
+    # at any cap; its raw syllables at cap 3000 would pass the work budget.
+    assert run(["magnus", "--graph", f2_file(tmp_path), "--cap", "3000", "[a,b] [b,a]"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
 def test_magnus_coefficient_past_print_limit_exit_two(tmp_path, capsys):
     # C(E, 2) has 4,400 digits; Python prints no int of more than 4,300.
     e = "9" * 2200

@@ -8,6 +8,7 @@ from raaglcs import (Graph, GroupWord, VerifyReport, commutator_witness, depth_f
                      enumerate_elements, in_dimension_subgroup, lcs_depth, mu,
                      verify_depth_bound)
 from raaglcs import lab
+from raaglcs.words import MAX_WORD_SYLLABLES
 
 
 def lex_key(word):
@@ -215,6 +216,14 @@ def test_witness_weight_three():
     assert w.norm() <= 10
     assert not w.is_identity()
     assert in_dimension_subgroup(w, 3)
+
+
+def test_witness_past_the_word_bound_refused():
+    # The weight-k witness has 2^k syllables: weight 17 would pass
+    # MAX_WORD_SYLLABLES, and is refused before its last bracket is built.
+    assert len(commutator_witness(f2(), 16).codes) == 2 ** 16
+    with pytest.raises(ValueError, match=f"word expands to more than {MAX_WORD_SYLLABLES} syllables"):
+        commutator_witness(f2(), 17)
 
 
 def test_witness_rejects_complete_graph():

@@ -101,6 +101,14 @@ def test_mu_sends_inverses_to_units():
         assert mu(w, 4) * mu(w.inverse(), 4) == series_one(g, 4)
 
 
+def test_mu_sweeps_the_reduced_word():
+    # Raw, these eight syllables would build C(E, k) for every k below the
+    # cap; reduced, the word is empty.
+    e = 99999999999999
+    w = parse_word(f"[a^{e},b^{e}] [b^{e},a^{e}]", f2())
+    assert mu(w, 40) == mu(GroupWord(f2()), 40) == series_one(f2(), 40)
+
+
 def test_mu_constant_term_is_one():
     rng = random.Random(33)
     for _ in range(50):
@@ -351,6 +359,8 @@ def test_widest_letters_match_oracle():
     (lambda: mu(parse_word("a^3 b^-4 a^5", f2()), 12), 18_940),
     (lambda: mu(parse_word("a^99999999999999 b", f2()), 30), 17_790),  # binomials past 64 bits
     (lambda: in_dimension_subgroup(parse_word("[[a,b^2],a^-3]", f2()), 5), 3_210),
+    # the depth round ends on reads of the empty degree-1 layer by c^2 and c^-2
+    (lambda: lcs_depth(parse_word("[[a,b],c^2]", Graph(["a", "b", "c"]))), 2_894),
 ])
 def test_kernel_charges_are_pinned(monkeypatch, query, units):
     # The least budget each query runs in: a change to what the kernel
