@@ -361,6 +361,8 @@ def test_widest_letters_match_oracle():
     (lambda: in_dimension_subgroup(parse_word("[[a,b^2],a^-3]", f2()), 5), 3_210),
     # the depth round ends on reads of the empty degree-1 layer by c^2 and c^-2
     (lambda: lcs_depth(parse_word("[[a,b],c^2]", Graph(["a", "b", "c"]))), 2_894),
+    # the k = 2 pass cancels a term of a^-3's increment; stored, it would cost 5,017
+    (lambda: mu(parse_word("a^2 b a^-3", f2()), 8), 4_921),
 ])
 def test_kernel_charges_are_pinned(monkeypatch, query, units):
     # The least budget each query runs in: a change to what the kernel
