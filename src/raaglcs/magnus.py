@@ -24,36 +24,39 @@ syllable s^e's increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
     e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
-layers, with L^0 = 1 read as the constant term, never copied.  The round
-is layer-major: for k = 1 .. min(max |e|, d) it makes one pass, in word
-order, over the syllables with |e| >= k, rebuilding the one running layer
-L_i^(d-k) from the increments stored for that degree only as far in i as
-the pass reads it, and adding its k-th term to each increment; the pass
-k = d reads the constant term alone.  The k = 1 pass meets every syllable
-and builds its increment, whose terms cannot collide, t -> t s being
-injective.  One running layer is alive at a time, and an increment is
-freed once the last round that reads it has: a long word holds
-increments, never a whole layer per syllable, and none of a positive last
-syllable, which no read reaches past.  Round d's part is the final L^d, the
-sum of its increments; with no negative exponent there is no term past the
-exponent sum, and the sweep stops there.
+layers, and round 1 writes D_i^1 = e s.  A later round is layer-major:
+for k = 1 .. min(max |e|, d) it makes one pass, in word order, over the syllables
+with |e| >= k, rebuilding the one running layer L_i^(d-k) from the
+increments stored for that degree only as far in i as the pass reads it,
+and adding its k-th term to each increment.  L^0 = 1 at every i, so the pass
+k = d starts its running layer at the constant term and brings nothing
+forward.  The k = 1 pass meets every syllable and builds its increment,
+whose terms cannot collide, t -> t s being injective; a later pass drops a
+term whose sum cancels where it adds it in, as bringing a layer forward
+does, so no part holds a zero sum.  One running layer is alive at a time,
+and an increment is freed once the last round that reads it has: a long
+word holds increments, never a whole layer per syllable, and none of a
+positive last syllable, which no read reaches past.  Round d's part is the
+final L^d, the sum of its increments; with no negative exponent there is no
+term past the exponent sum, and the sweep stops there.
 
-`mu` takes every part below its cap.  `lcs_depth` stops at the first part
-with a nonzero term, whose degree is the depth and whose lex-least term the
+`mu` takes every part below its cap.  `lcs_depth` stops at the first
+nonempty part, whose degree is the depth and whose lex-least term the
 witness: a nontrivial element has one in degree <= norm, so a caller's cap
 is a ceiling on the sweep, not a target.  `in_dimension_subgroup(word, k)`
 is `lcs_depth` with k as that ceiling.
 
 Work is summed over the rounds and charged by one rule (see
-MAX_KERNEL_WORK).  Round d builds C(n, d) for each |e| = n >= d and
-charges it as it is built, so a huge exponent is refused before its
-coefficients fill memory; a term read with a binomial past one 64-bit word
-is charged for its products before they are written.  Each layer read,
+MAX_KERNEL_WORK).  Round d builds C(n, d) for each |e| = n >= d and charges
+it as it is built, so a huge exponent is refused before its coefficients
+fill memory; a term read with a binomial past one 64-bit word is charged
+for its products before they are written.  Each read of a stored layer,
 empty or not, and each stored increment term added back into a layer, is
-charged too, so a wide window is paid for even when empty; the last
-round's increments are never read, so never charged.  `mu` refuses up
-front an exponent whose constant-term extensions s^1 .. s^k alone would
-pass the budget.
+charged too, so a wide window is paid for even when empty; a read of the
+constant term, round 1's included, is charged only for the term it
+visits.  The last round's increments are never read, so never charged.
+`mu` refuses up front an exponent whose constant-term extensions
+s^1 .. s^k alone would pass the budget.
 
 The kernel reads a reduced word's `codes`, and `mu` and `lcs_depth` wrap its
 terms with `Trace._trusted` as they are: nothing is unpacked.  Names are
@@ -96,11 +99,21 @@ def _over_budget():
     return ValueError(f"series computation needs more than {MAX_KERNEL_WORK} units of work")
 
 
+def _add(total, terms):
+    """total += terms, a term whose sum cancels dropped."""
+    for t, c in terms.items():
+        c += total.get(t, 0)
+        if c:
+            total[t] = c
+        else:
+            del total[t]
+
+
 def _degree_parts(graph, codes, top):
-    """Yields the image's degree-d part, {packed lex-least term: coefficient}
-    with zero sums kept, for d = 1 .. top - 1 (fewer with no negative
-    exponent): the degree sweep of the module docstring.  Raises ValueError
-    before the work summed over its rounds would pass MAX_KERNEL_WORK.
+    """Yields the image's degree-d part, {packed lex-least term: nonzero
+    coefficient}, for d = 1 .. top - 1 (fewer with no negative exponent):
+    the degree sweep of the module docstring.  Raises ValueError before the
+    work summed over its rounds would pass MAX_KERNEL_WORK.
     """
     if not codes:
         return
@@ -114,7 +127,6 @@ def _degree_parts(graph, codes, top):
     rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
     # (i, s, e, C(|e|, .), at): at is the i of the L_i the recurrence reads
     syllables = [(i, s, e, rows[abs(e)], i if e > 0 else i + 1) for i, (s, e) in enumerate(codes)]
-    merging = [x[0] for x in syllables if abs(x[2]) > 1]  # increments passes k > 1 add to
     steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
     work = 0
     for d in range(1, top):
@@ -125,53 +137,43 @@ def _degree_parts(graph, codes, top):
                 if work + _VISIT + d * (d + 1) // 2 > budget:
                     raise _over_budget()
                 row.append(coeff)
+        if d == 1:  # D_i^1 = e s, each syllable's read of the constant term
+            work += (_VISIT + 1) * len(codes)
+            if work > budget:
+                raise _over_budget()
+            deltas, passes = [{1 << w | s: e} for s, e in codes], ()
+        else:  # D_i^d, built by the k = 1 pass and added to by the later ones
+            deltas, passes = [], range(1, min(width, d) + 1)
         last = d - width  # no later round reads degree `last`
         reading = syllables
-        deltas = []  # D_i^d, built by the k = 1 pass and added to by the later ones
-        for k in range(1, min(width, d) + 1):
+        for k in passes:
             if k - 1 in rows:  # a syllable with |e| = k - 1 reads no further
                 reading = [x for x in reading if abs(x[2]) >= k]
             shift = k * w
-            if k == d:  # s^d from the constant term, the sentinel 1
-                work += (_VISIT + d) * len(reading)
-                if work > budget:
-                    raise _over_budget()
-                for i, s, e, row, _ in reading:
-                    term = 1 << shift | s * ((1 << shift) - 1) // low
-                    b = row[k] if e > 0 else -row[k]
-                    if k == 1:
-                        deltas.append({term: b})
-                    else:
-                        delta = deltas[i]
-                        delta[term] = delta.get(term, 0) + b
-                continue
-            increments = steps[d - k]
-            free = k == width  # the last round to read these increments
-            start, layer = 0, {}  # L_start^(d - k), brought forward as the reads need
+            if k < d:  # L_start^(d - k), brought forward as the reads need
+                increments, free = steps[d - k], k == width  # free: the last round to read them
+                start, layer, visit = 0, {}, _VISIT
+            else:  # the constant term 1 at every i, read with no visit and no product
+                start, layer, visit = len(codes), {1: 1}, 0
             for i, s, e, row, at in reading:
                 while start < at:  # add D_start^(d - k) back
                     increment = increments[start]
                     work += _VISIT * len(increment)
                     if work > budget:
                         raise _over_budget()
-                    for t, c in increment.items():
-                        c += layer.get(t, 0)
-                        if c:
-                            layer[t] = c
-                        else:
-                            del layer[t]
+                    _add(layer, increment)
                     if free:
                         increments[start] = None
                     start += 1
-                work += _VISIT + len(layer) * (_VISIT + d)  # the read; a visit, d letters per term
-                if not layer and k > 1:  # the k = 1 pass builds every increment, empty or not
-                    continue
+                work += visit + len(layer) * (_VISIT + d)  # the read; a visit, d letters per term
                 b = row[k] if e > 0 else -row[k]
                 v = b.bit_length() >> 6
-                if v:  # each product c * b: (u + 1) v units, u the extra words of c
+                if v and k < d:  # each product c * b: (u + 1) v units, u the extra words of c
                     work += v * sum((c.bit_length() >> 6) + 1 for c in layer.values())
                 if work > budget:
                     raise _over_budget()
+                if not layer and k > 1:  # the k = 1 pass builds every increment, empty or not
+                    continue
                 mask = masks[s]
                 ks = s * ((1 << shift) - 1) // low  # the letters of s^k: s times a repunit
                 if k == 1:  # t -> t s is injective: no two terms collide
@@ -184,15 +186,14 @@ def _degree_parts(graph, codes, top):
                         term = insert_packed(t, s, ks, shift, mask, w)
                     else:
                         term = t << shift | ks
-                    delta[term] = delta.get(term, 0) + c * b
-        if work > budget:  # a skipped empty read is charged but not yet checked
-            raise _over_budget()
-        for i in merging:  # drop the zero sums a later pass left
-            deltas[i] = {t: c for t, c in deltas[i].items() if c}
+                    c = delta.get(term, 0) + c * b
+                    if c:
+                        delta[term] = c
+                    else:  # a zero sum dies where it forms
+                        del delta[term]
         total = {}
         for delta in deltas:
-            for t, c in delta.items():
-                total[t] = total.get(t, 0) + c
+            _add(total, delta)
         if codes[-1][1] > 0:  # no read reaches past a positive last syllable
             deltas[-1] = None
         yield total
@@ -213,10 +214,8 @@ def mu(word, cap):
     if _VISIT + k * (k + 1) // 2 > MAX_KERNEL_WORK:
         raise _over_budget()
     parts = list(_degree_parts(graph, codes, cap))  # a refused sweep sorts nothing
-    image = {1: 1}  # the constant term, the empty trace's key
-    for part in parts:
-        image.update(sorted((t, c) for t, c in part.items() if c))
-    terms = {Trace._trusted(graph, t): c for t, c in image.items()}
+    terms = {Trace._trusted(graph, t): c  # the constant term first, the empty trace's key
+             for part in [{1: 1}, *parts] for t, c in sorted(part.items())}
     return TruncatedSeries._trusted(graph, cap, terms)
 
 
@@ -271,7 +270,6 @@ def lcs_depth(word, cap=None):
     graph = word.graph
     top = reduced.norm() + 1 if cap is None else min(cap, reduced.norm() + 1)
     for d, part in enumerate(_degree_parts(graph, reduced.codes, top), 1):
-        term = min((t for t, c in part.items() if c), default=None)
-        if term is not None:
-            return DepthResult.exact(d, Trace._trusted(graph, term))
+        if part:
+            return DepthResult.exact(d, Trace._trusted(graph, min(part)))
     return DepthResult.at_least(top)
