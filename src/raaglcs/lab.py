@@ -210,11 +210,11 @@ def depth_function(graph, k, max_norm):
     first one that `in_dimension_subgroup` puts in the k-th term.  For k >= 2
     it skips the subtrees outside [G, G], which is exact (module docstring).
     """
-    if graph.is_complete():
+    check_int(k, 1, "k must be >= 1")
+    if k >= 2 and graph.is_complete():
         raise ValueError(
             "complete graph: the group is free abelian, hence nilpotent, and "
             "deep lower central terms are trivial")
-    check_int(k, 1, "k must be >= 1")
     check_int(max_norm, 0, "max_norm must be >= 0")
     if k > max_norm:
         # depth <= norm, so d(k) >= k: nothing to walk

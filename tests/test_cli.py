@@ -2,8 +2,10 @@ import contextlib
 import io
 import itertools
 import os
+import pathlib
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -31,6 +33,28 @@ def f2_file(tmp_path):
 
 def z2_file(tmp_path):
     return graph_file(tmp_path, "vertices: a b\nedges: a-b\n")
+
+
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    # Every `raaglcs ...` line of the README, in-process, with g.txt and d.txt
+    # as the README describes them and the outputs its comments promise.
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    dissection = text.split("### Dissection file format", 1)[1].split("```")[1]
+    (tmp_path / "d.txt").write_text(dissection.lstrip("\n"))
+    (tmp_path / "g.txt").write_text("vertices: a b\n")
+    monkeypatch.chdir(tmp_path)
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("raaglcs "):
+            argv = shlex.split(line, comments=True)[1:]
+            assert run(argv) == 0, line
+            out[" ".join(argv)] = capsys.readouterr().out
+    assert out["magnus --graph g.txt --cap 3 [a,b]"] == "1 + 1*a*b - 1*b*a\n"
+    assert out["depth --graph g.txt [a,b]"] == "depth=2\n"
+    assert out["dfun --graph g.txt --k 2 --max-norm 4"].startswith("d(2) = 4 (exact) witness=")
+    assert out["verify --graph g.txt --max-norm 5"].splitlines()[-1] == "PASS"
+    assert out["surface-phi --genus 2 a1"] == "x0 x1^-1\n"
+    assert out["surface-check --dissection d.txt"] == "relator: ok\ncomponent 0: ok\n"
 
 
 def test_nf_free_group(tmp_path, capsys):
@@ -98,6 +122,15 @@ def test_dfun_k_above_norm_bound_walks_nothing(tmp_path, capsys):
                 "--max-norm", "5"]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "d(3000) = 6 (lower-bound)\n"
+
+
+def test_dfun_k1_on_complete_graph(tmp_path, capsys):
+    # gamma_1 = G, so d(1) = 1 on a complete graph too; deeper terms are trivial
+    path = graph_file(tmp_path, "vertices: a\n")
+    assert run(["dfun", "--graph", path, "--k", "1"]) == 0
+    assert capsys.readouterr().out == "d(1) = 1 (exact) witness=a^-1\n"
+    assert run(["dfun", "--graph", path, "--k", "2"]) == 2
+    assert "nilpotent" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path, capsys):

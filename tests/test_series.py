@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import f2, k3, random_graph, series_one, series_sum, z2
-from raaglcs import Trace, TruncatedSeries
+from conftest import f2, k3, p3, random_graph, series_one, series_sum, z2
+from raaglcs import Trace, TruncatedSeries, mu, parse_word
 
 
 def series(graph, cap, *terms):
@@ -73,6 +73,13 @@ def test_mixed_caps_rejected():
 def test_mixed_graphs_rejected():
     with pytest.raises(ValueError, match="different graphs"):
         series_one(f2(), 2) * series_one(z2(), 2)
+
+
+def test_trace_over_another_graph_rejected():
+    with pytest.raises(ValueError, match="term trace lives over a different graph"):
+        TruncatedSeries(f2(), 3, [(Trace(p3(), "a"), 1)])
+    with pytest.raises(ValueError, match="trace lives over a different graph"):
+        mu(parse_word("a b", f2()), 3).coefficient(Trace(p3(), "a"))
 
 
 def test_coefficient():
