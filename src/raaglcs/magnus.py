@@ -25,20 +25,21 @@ syllable s^e's increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
 layers, and round 1 writes D_i^1 = e s.  A later round is layer-major:
-for k = 1 .. min(max |e|, d) it makes one pass, in word order, over the syllables
-with |e| >= k, rebuilding the one running layer L_i^(d-k) from the
-increments stored for that degree only as far in i as the pass reads it,
-and adding its k-th term to each increment.  L^0 = 1 at every i, so the pass
-k = d starts its running layer at the constant term and brings nothing
-forward.  The k = 1 pass meets every syllable and builds its increment,
-whose terms cannot collide, t -> t s being injective; a later pass drops a
-term whose sum cancels where it adds it in, as bringing a layer forward
-does, so no part holds a zero sum.  One running layer is alive at a time,
-and an increment is freed once the last round that reads it has: a long
-word holds increments, never a whole layer per syllable, and none of a
-positive last syllable, which no read reaches past.  Round d's part is the
-final L^d, the sum of its increments; with no negative exponent there is no
-term past the exponent sum, and the sweep stops there.
+for k = 1 .. min(max |e|, d) it makes one pass, in word order, over the
+syllables with |e| >= k, rebuilding the one running layer L_i^(d-k) from
+the increments stored for that degree only as far in i as the pass reads
+it, and adding its k-th term to each increment.  L^0 = 1 at every i, so
+the pass k = d starts its running layer at the constant term and brings
+nothing forward.  The k = 1 pass meets every syllable and builds its
+increment, whose terms cannot collide, t -> t s being injective; a later
+pass drops a term whose sum cancels where it adds it in, as bringing a
+layer forward does, so no part holds a zero sum.  One running layer is
+alive at a time, and an increment is freed once the last round that reads
+it has: a long word holds increments, never a whole layer per syllable,
+and none of a positive last syllable, which no read reaches past.  Round
+d's part is the final L^d, the sum of its increments; with no negative
+exponent there is no term past the exponent sum, and the sweep stops
+there.
 
 `mu` takes every part below its cap.  `lcs_depth` stops at the first
 nonempty part, whose degree is the depth and whose lex-least term the
