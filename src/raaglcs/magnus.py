@@ -24,13 +24,13 @@ syllable s^e's increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
     e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
-layers, and round 1 writes D_i^1 = e s.  A later round is layer-major:
-for k = 1 .. min(max |e|, d) it makes one pass, in word order, over the
-syllables with |e| >= k, rebuilding the one running layer L_i^(d-k) from
-the increments stored for that degree only as far in i as the pass reads
-it, and adding its k-th term to each increment.  L^0 = 1 at every i, so
-the pass k = d starts its running layer at the constant term and brings
-nothing forward.  The k = 1 pass meets every syllable and builds its
+layers.  Every round is layer-major: for k = 1 .. min(max |e|, d) it
+makes one pass, in word order, over the syllables with |e| >= k,
+rebuilding the one running layer L_i^(d-k) from the increments stored for
+that degree only as far in i as the pass reads it, and adding its k-th
+term to each increment.  L^0 = 1 at every i, so the pass k = d starts its
+running layer at the constant term and brings nothing forward; round 1 is
+that pass alone, and writes D_i^1 = e s.  The k = 1 pass meets every syllable and builds its
 increment, whose terms cannot collide, t -> t s being injective; a later
 pass drops a term whose sum cancels where it adds it in, as bringing a
 layer forward does, so no part holds a zero sum.  One running layer is
@@ -138,23 +138,19 @@ def _degree_parts(graph, codes, top):
                 if work + _VISIT + d * (d + 1) // 2 > budget:
                     raise _over_budget()
                 row.append(coeff)
-        if d == 1:  # D_i^1 = e s, each syllable's read of the constant term
-            work += (_VISIT + 1) * len(codes)
-            if work > budget:
-                raise _over_budget()
-            deltas, passes = [{1 << w | s: e} for s, e in codes], ()
-        else:  # D_i^d, built by the k = 1 pass and added to by the later ones
-            deltas, passes = [], range(1, min(width, d) + 1)
         last = d - width  # no later round reads degree `last`
         reading = syllables
-        for k in passes:
+        deltas = []  # D_i^d, built by the k = 1 pass and added to by the later ones
+        for k in range(1, min(width, d) + 1):
             if k - 1 in rows:  # a syllable with |e| = k - 1 reads no further
                 reading = [x for x in reading if abs(x[2]) >= k]
             shift = k * w
             if k < d:  # L_start^(d - k), brought forward as the reads need
                 increments, free = steps[d - k], k == width  # free: the last round to read them
                 start, layer, visit = 0, {}, _VISIT
-            else:  # the constant term 1 at every i, read with no visit and no product
+            else:  # the constant term 1 at every i, read with no visit and no product;
+                # its sentinel bit may pass the commutation test below, where
+                # `insert_packed` stops at x = 1 and returns 1 << shift | ks
                 start, layer, visit = len(codes), {1: 1}, 0
             for i, s, e, row, at in reading:
                 while start < at:  # add D_start^(d - k) back
