@@ -24,22 +24,22 @@ syllable s^e's increment D_i^d = L_(i+1)^d - L_i^d from lower degrees:
     e = -n < 0:  D_i^d = -sum over k = 1 .. min(n, d) of C(n, k) L_(i+1)^(d-k) s^k
 
 the second from L_(i+1) (1 + s)^n = L_i.  So a syllable reads |e| lower
-layers.  Every round is layer-major: for k = 1 .. min(max |e|, d) it
-makes one pass, in word order, over the syllables with |e| >= k,
-rebuilding the one running layer L_i^(d-k) from the increments stored for
-that degree only as far in i as the pass reads it, and adding its k-th
-term to each increment.  L^0 = 1 at every i, so the pass k = d starts its
-running layer at the constant term and brings nothing forward; round 1 is
-that pass alone, and writes D_i^1 = e s.  The k = 1 pass meets every syllable and builds its
-increment, whose terms cannot collide, t -> t s being injective; a later
-pass drops a term whose sum cancels where it adds it in, as bringing a
-layer forward does, so no part holds a zero sum.  One running layer is
-alive at a time, and an increment is freed once the last round that reads
-it has: a long word holds increments, never a whole layer per syllable,
-and none of a positive last syllable, which no read reaches past.  Round
-d's part is the final L^d, the sum of its increments; with no negative
-exponent there is no term past the exponent sum, and the sweep stops
-there.
+layers.  A round is layer-major: for k = 1 .. min(max |e|, d) it makes
+one pass, in word order, over the syllables with |e| >= k, rebuilding the
+one running layer L_i^(d-k) from the increments stored for that degree
+only as far in i as the pass reads it, and adding its k-th term to each
+increment.  L^0 = 1 at every i, so the pass k = d starts its running
+layer at the constant term and brings nothing forward.  Round 1 is that
+pass alone, D_i^1 = e s, and writes it directly.  The k = 1 pass meets
+every syllable and builds its increment, whose terms cannot collide,
+t -> t s being injective; a later pass drops a term whose sum cancels
+where it adds it in, as bringing a layer forward does, so no part holds a
+zero sum.  One running layer is alive at a time, and an increment is freed
+once the last round that reads it has: a long word holds increments,
+never a whole layer per syllable, and none of a positive last syllable,
+which no read reaches past.  Round d's part is the final L^d, the sum of
+its increments; with no negative exponent there is no term past the
+exponent sum, and the sweep stops there.
 
 `mu` takes every part below its cap.  `lcs_depth` stops at the first
 nonempty part, whose degree is the depth and whose lex-least term the
@@ -138,19 +138,23 @@ def _degree_parts(graph, codes, top):
                 if work + _VISIT + d * (d + 1) // 2 > budget:
                     raise _over_budget()
                 row.append(coeff)
+        if d == 1:  # the pass k = d = 1 written out, D_i^1 = e s: same charges, half the time
+            work += (_VISIT + 1) * len(codes)
+            if work > budget:
+                raise _over_budget()
+            deltas, passes = [{1 << w | s: e} for s, e in codes], ()
+        else:  # D_i^d, built by the k = 1 pass and added to by the later ones
+            deltas, passes = [], range(1, min(width, d) + 1)
         last = d - width  # no later round reads degree `last`
         reading = syllables
-        deltas = []  # D_i^d, built by the k = 1 pass and added to by the later ones
-        for k in range(1, min(width, d) + 1):
+        for k in passes:
             if k - 1 in rows:  # a syllable with |e| = k - 1 reads no further
                 reading = [x for x in reading if abs(x[2]) >= k]
             shift = k * w
             if k < d:  # L_start^(d - k), brought forward as the reads need
                 increments, free = steps[d - k], k == width  # free: the last round to read them
                 start, layer, visit = 0, {}, _VISIT
-            else:  # the constant term 1 at every i, read with no visit and no product;
-                # its sentinel bit may pass the commutation test below, where
-                # `insert_packed` stops at x = 1 and returns 1 << shift | ks
+            else:  # L^0 = 1 at every i: no visit, no product; `insert_packed` stops at its sentinel
                 start, layer, visit = len(codes), {1: 1}, 0
             for i, s, e, row, at in reading:
                 while start < at:  # add D_start^(d - k) back
