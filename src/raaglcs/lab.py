@@ -26,12 +26,13 @@ so the walk places only its exponents +-left there; on a one-vertex graph a
 sphere costs two stack entries, not 2 * norm.
 
 The derived walk yields only the elements of [G, G] = gamma_2, the kernel
-of abelianisation.  Each of its stack entries also carries its prefix's
-exponent sum per generator and ab_norm, the sum of their absolute values,
-and it skips a subtree whose prefix has ab_norm above the norm left to
-spend.  That is exact: a syllable s^e moves ab_norm by at most |e|, the
-exponents still to come add up to the norm left, so no element below such a
-prefix has ab_norm 0.  The elements that remain come out in the same order.
+of abelianisation.  Its stack entries carry the prefix's exponent sum per
+generator and ab_norm, the sum of their absolute values, and it skips a
+subtree whose prefix has ab_norm above the norm left to spend.  That is
+exact: a syllable s^e moves ab_norm by at most |e|, the exponents still to
+come add up to the norm left, so no element below such a prefix has
+ab_norm 0.  The elements that remain come out in the same order.  The full
+walk is the same child loop unpruned, and keeps no sums.
 For k >= 2 the depth function wants elements of gamma_k, inside gamma_2, so
 it scans the derived walk, and its first hit and witness are those of the
 full scan.  The depth <= norm sweep runs `lcs_depth` on the derived walk
@@ -131,15 +132,15 @@ def _ball(graph, max_norm):
 
 def _sphere(graph, norm, derived=False):
     """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
-    order.  With `derived` only the elements of [G, G] come out: a subtree
-    is skipped when its prefix's ab_norm exceeds the norm left to spend
-    (see the module docstring).
+    order, from one child loop.  With `derived` only the elements of [G, G]
+    come out: a subtree is skipped when its prefix's ab_norm exceeds the norm
+    left to spend (module docstring); without it nothing is pruned.
     """
     masks = graph.masks
     dead = (1 << len(masks)) - 1
     # (prefix, forbidden, norm left, the parent's exponent sums {generator
-    # index: sum}, the prefix's ab_norm); the sums and ab_norm are kept only
-    # by the derived walk.
+    # index: sum}, the prefix's ab_norm); the sums are kept only by the
+    # derived walk, so the full walk's ab_norm is just the norm spent.
     stack = [((), 0, norm, {}, 0)]
     while stack:
         codes, forbidden, left, sums, ab_norm = stack.pop()
@@ -161,16 +162,12 @@ def _sphere(graph, norm, derived=False):
                 if exponents is None:
                     exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
                 ends = exponents
-            if not derived:
-                for e in ends:
-                    stack.append((codes + ((g, e),), after, left - abs(e), sums, 0))
-                continue
             c = sums.get(g, 0)
             others = ab_norm - abs(c)
             for e in ends:
                 rest = left - abs(e)
                 moved = others + abs(c + e)
-                if moved <= rest:  # else its abelianisation cannot return to 0
+                if moved <= rest or not derived:  # else its abelianisation cannot return to 0
                     stack.append((codes + ((g, e),), after, rest, sums, moved))
 
 

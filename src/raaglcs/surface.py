@@ -85,6 +85,8 @@ class Dissection:
                 for edge, curve in circuit:
                     if not edge:
                         raise ValueError("empty edge id in component circuit")
+                    if ":" in edge or edge.split() != [edge]:  # the text format splits on both
+                        raise ValueError(f"edge id {edge!r} has whitespace or ':'")
                     if curve not in graph._index:
                         raise ValueError(
                             f"component circuit names undeclared curve {curve!r}")
@@ -115,8 +117,8 @@ class Dissection:
         raise AttributeError(f"Dissection attribute {name!r} is read-only")
 
     def crosses(self, c1, c2):
-        """True iff the two curves are recorded as intersecting."""
-        return (c1, c2) in self.intersections or (c2, c1) in self.intersections
+        """True iff the two curves cross; ValueError on an undeclared curve."""
+        return self._graph.are_adjacent(c1, c2)
 
     def generator_names(self):
         return tuple(n for h in _handles(self.genus) for n in h)

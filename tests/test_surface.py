@@ -69,6 +69,17 @@ def test_component_validation():
         tiny_dissection(components=[])
     with pytest.raises(ValueError, match="empty edge id in component circuit"):
         tiny_dissection(components=[[("", "x")]])
+    for edge in ("e 1", "e:1", "e\t1"):  # the text format could not write these
+        with pytest.raises(ValueError) as err:
+            tiny_dissection(components=[[(edge, "x")]])
+        assert str(err.value) == f"edge id {edge!r} has whitespace or ':'"
+
+
+@pytest.mark.parametrize("edge, stored", [("e-1", "e-1"), ("7", "7"), (3, "3")])
+def test_component_edge_ids_survive_the_text_format(edge, stored):
+    d = tiny_dissection(components=[[(edge, "x"), ("f", "y")]])
+    assert d.components == (((stored, "x"), ("f", "y")),)
+    assert parse_dissection(format_dissection(d)).components == d.components
 
 
 def test_curve_names_checked_at_construction():
@@ -96,6 +107,17 @@ def test_intersection_graph_edge():
 
 def test_intersection_graph_edgeless():
     assert intersection_graph(tiny_dissection()) == Graph(["x", "y"])
+
+
+def test_crosses_asks_the_curve_graph():
+    with pytest.raises(ValueError, match="unknown vertex"):
+        standard_dissection(2).crosses("nope", "x0")
+    d = standard_dissection(3)
+    graph = intersection_graph(d)
+    for c1 in d.curves:
+        for c2 in d.curves:
+            recorded = (c1, c2) in d.intersections or (c2, c1) in d.intersections
+            assert d.crosses(c1, c2) == graph.are_adjacent(c1, c2) == recorded
 
 
 def test_intersection_graph_standard_g2():
