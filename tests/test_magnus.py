@@ -9,7 +9,7 @@ from conftest import (f2, image_at_one_cap, k3_minus_edge, p3, product_image, ra
 from raaglcs import magnus
 from raaglcs import (DepthResult, Graph, GroupWord, Trace, TruncatedSeries, commutator,
                      commutator_witness, in_dimension_subgroup, lcs_depth, mu,
-                     parse_word, syllable_factor)
+                     parse_word, phi, standard_dissection, syllable_factor)
 from raaglcs.graph import MAX_VERTICES
 from raaglcs.words import letter_bits
 
@@ -354,6 +354,12 @@ def test_widest_letters_match_oracle():
 
 # --- the kernel's charges ---
 
+# A random genus-24 surface word: its phi image has 100 syllables and depth 1.
+GENUS_24_WORD = ("b8 b12^-1 a21 a20 a16^-1 b18 a7^-1 a18^-1 b13 a8 b17^-1 b24 a22 a6 b10 b9^-1 "
+                 "a20^-1 b23^-1 b13^-1 a5^-1 a4 a5^-1 b7^-1 b22^-1 a21^-1 a14^-1 a19^-1 a18^-1 "
+                 "b19 b11 b9 a23^-1 a18 b23 a21^-1 a10")
+
+
 @pytest.mark.parametrize("query, units", [
     (lambda: lcs_depth(commutator_witness(f2(), 8)), 1_363_252),
     (lambda: mu(parse_word("a^3 b^-4 a^5", f2()), 12), 18_940),
@@ -363,6 +369,10 @@ def test_widest_letters_match_oracle():
     (lambda: lcs_depth(parse_word("[[a,b],c^2]", Graph(["a", "b", "c"]))), 2_894),
     # the k = 2 pass cancels a term of a^-3's increment; stored, it would cost 5,017
     (lambda: mu(parse_word("a^2 b a^-3", f2()), 8), 4_921),
+    # depth 1: round 1 alone, a visit and a letter per syllable
+    (lambda: lcs_depth(phi(GENUS_24_WORD, standard_dissection(24))), 3_300),
+    # and a unit for the 64 bits of C(n, 1) = n
+    (lambda: lcs_depth(parse_word("a^12345678901234567890 b^-3 a", f2())), 100),
 ])
 def test_kernel_charges_are_pinned(monkeypatch, query, units):
     # The least budget each query runs in: a change to what the kernel
@@ -385,3 +395,14 @@ def test_no_budget_below_the_least_one_answers(monkeypatch):
             lcs_depth(word)
     monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", 456)
     assert lcs_depth(word).depth == 2
+
+
+def test_no_budget_below_a_depth_one_words_least_one_answers(monkeypatch):
+    # a b a^-2 answers in round 1, which charges 33 units a syllable.
+    word = parse_word("a b a^-2", f2())
+    for units in range(99):
+        monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", units)
+        with pytest.raises(ValueError, match="units of work"):
+            lcs_depth(word)
+    monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", 99)
+    assert lcs_depth(word).depth == 1
