@@ -134,8 +134,12 @@ def _sphere(graph, norm, derived=False):
     """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
     order, from one child loop.  With `derived` only the elements of [G, G]
     come out: a subtree is skipped when its prefix's ab_norm exceeds the norm
-    left to spend (module docstring); without it nothing is pruned.
+    left to spend (module docstring); without it nothing is pruned.  An
+    element of [G, G] has every exponent sum 0, so an even norm: the derived
+    walk of an odd norm is empty.
     """
+    if derived and norm % 2:
+        return
     masks = graph.masks
     dead = (1 << len(masks)) - 1
     # (prefix, forbidden, norm left, the parent's exponent sums {generator

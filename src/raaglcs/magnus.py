@@ -30,16 +30,19 @@ one running layer L_i^(d-k) from the increments stored for that degree
 only as far in i as the pass reads it, and adding its k-th term to each
 increment.  L^0 = 1 at every i, so the pass k = d starts its running
 layer at the constant term and brings nothing forward.  Round 1 is that
-pass alone, D_i^1 = e s, and writes it directly.  The k = 1 pass meets
+pass alone, D_i^1 = e s, so its part is the exponent sums: one loop over
+the word sums them and builds the binomial rows, and the increments e s
+are stored only when the caller resumes the sweep for round 2, so a
+depth-1 `lcs_depth` costs that one loop.  The k = 1 pass meets
 every syllable and builds its increment, whose terms cannot collide,
 t -> t s being injective; a later pass drops a term whose sum cancels
 where it adds it in, as bringing a layer forward does, so no part holds a
 zero sum.  One running layer is alive at a time, and an increment is freed
 once the last round that reads it has: a long word holds increments,
-never a whole layer per syllable, and none of a positive last syllable,
-which no read reaches past.  Round d's part is the final L^d, the sum of
-its increments; with no negative exponent there is no term past the
-exponent sum, and the sweep stops there.
+never a whole layer per syllable, and from round 2 on none of a positive
+last syllable, which no read reaches past.  Round d's part is the final
+L^d, the sum of its increments; with no negative exponent there is no
+term past the exponent sum, and the sweep stops there.
 
 `mu` takes every part below its cap.  `lcs_depth` stops at the first
 nonempty part, whose degree is the depth and whose lex-least term the
@@ -50,12 +53,13 @@ is `lcs_depth` with k as that ceiling.
 Work is summed over the rounds and charged by one rule (see
 MAX_KERNEL_WORK).  Round d builds C(n, d) for each |e| = n >= d and charges
 it as it is built, so a huge exponent is refused before its coefficients
-fill memory; a term read with a binomial past one 64-bit word is charged
-for its products before they are written.  Each read of a stored layer,
-empty or not, and each stored increment term added back into a layer, is
-charged too, so a wide window is paid for even when empty; a read of the
-constant term, round 1's included, is charged only for the term it
-visits.  The last round's increments are never read, so never charged.
+fill memory; round 1's C(n, 1) = n is already held, and is checked once
+with round 1's visits.  A term read with a binomial past one 64-bit word
+is charged for its products before they are written.  Each read of a
+stored layer, empty or not, and each stored increment term added back
+into a layer, is charged too, so a wide window is paid for even when
+empty; a read of the constant term, round 1's included, is charged only
+for the term it visits.  The last round's increments are never read, so never charged.
 `mu` refuses up front an exponent whose constant-term extensions
 s^1 .. s^k alone would pass the budget.
 
@@ -116,21 +120,42 @@ def _degree_parts(graph, codes, top):
     the degree sweep of the module docstring.  Raises ValueError before the
     work summed over its rounds would pass MAX_KERNEL_WORK.
     """
-    if not codes:
+    if not codes or top <= 1:
         return
-    if all(e > 0 for _, e in codes):
-        top = min(top, sum(e for _, e in codes) + 1)
     budget = MAX_KERNEL_WORK
-    masks = graph.masks
     w = letter_bits(graph)
-    low = (1 << w) - 1
-    width = max(abs(e) for _, e in codes)  # the most lower layers a syllable reads
-    rows = {abs(e): [1] for _, e in codes}  # n -> C(n, k) for k <= min(n, d)
+    unit = 1 << w  # the sentinel of a one-letter term
+    # Round 1 in one loop over the word: its part, the exponent sums, and
+    # n -> C(n, k) for each |e| = n, k <= min(n, d)
+    part, rows, positive = {}, {}, True
+    for s, e in codes:
+        t = unit | s  # the term s
+        c = part.get(t, 0) + e
+        if c:
+            part[t] = c
+        else:  # a zero sum dies where it forms
+            del part[t]
+        if e < 0:
+            positive, e = False, -e
+        if e not in rows:
+            rows[e] = [1, e]
+    # C(n, 1) = n for each n, and a visit and a letter for each D_i^1 = e s
+    work = sum(n.bit_length() >> 6 for n in rows) + (_VISIT + 1) * len(codes)
+    if work > budget:
+        raise _over_budget()
+    if positive:  # no term past the exponent sum
+        top = min(top, sum(part.values()) + 1)
+    yield part
+    if top <= 2:
+        return
+    masks = graph.masks
+    low = unit - 1
+    width = max(rows)  # the most lower layers a syllable reads
     # (i, s, e, C(|e|, .), at): at is the i of the L_i the recurrence reads
     syllables = [(i, s, e, rows[abs(e)], i if e > 0 else i + 1) for i, (s, e) in enumerate(codes)]
-    steps = {}  # degree j -> the increments D_i^j, i = 0 .., while a round reads them
-    work = 0
-    for d in range(1, top):
+    # degree j -> the increments D_i^j, i = 0 .., while a round reads them
+    steps = {1: [{unit | s: e} for s, e in codes]}
+    for d in range(2, top):
         for n, row in rows.items():
             if d <= n:  # C(n, d) > 0, charged and checked before it is kept
                 coeff = row[-1] * (n - d + 1) // d  # exact: binomials are integers
@@ -138,16 +163,10 @@ def _degree_parts(graph, codes, top):
                 if work + _VISIT + d * (d + 1) // 2 > budget:
                     raise _over_budget()
                 row.append(coeff)
-        if d == 1:  # the pass k = d = 1 written out, D_i^1 = e s: same charges, half the time
-            work += (_VISIT + 1) * len(codes)
-            if work > budget:
-                raise _over_budget()
-            deltas, passes = [{1 << w | s: e} for s, e in codes], ()
-        else:  # D_i^d, built by the k = 1 pass and added to by the later ones
-            deltas, passes = [], range(1, min(width, d) + 1)
+        deltas = []  # D_i^d, built by the k = 1 pass and added to by the later ones
         last = d - width  # no later round reads degree `last`
         reading = syllables
-        for k in passes:
+        for k in range(1, min(width, d) + 1):
             if k - 1 in rows:  # a syllable with |e| = k - 1 reads no further
                 reading = [x for x in reading if abs(x[2]) >= k]
             shift = k * w

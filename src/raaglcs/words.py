@@ -141,7 +141,7 @@ class GroupWord:
             return "1"
         vertices = self.graph.vertices
         try:
-            return " ".join(vertices[g] + ("" if e == 1 else f"^{e}") for g, e in self.codes)
+            return " ".join([vertices[g] + ("" if e == 1 else f"^{e}") for g, e in self.codes])
         except ValueError:  # an exponent past the integer print limit
             for _, e in self.codes:
                 _digits(e, "an exponent")

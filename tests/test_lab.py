@@ -344,6 +344,14 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
         assert list(lab._sphere(graph, norm, True)) == derived
 
 
+def test_derived_walk_is_empty_at_odd_norms():
+    # An element of [G, G] has every exponent sum 0, so its norm is even.
+    for graph in (f2(), p3(), c4(), k3_minus_edge()):
+        for norm in (1, 3, 5, 7):
+            assert list(lab._sphere(graph, norm, True)) == []
+        assert list(lab._sphere(graph, 4, True))
+
+
 def exponent_sums_vanish(word):
     sums = {}
     for s, e in word.syllables:

@@ -385,9 +385,9 @@ def test_kernel_charges_are_pinned(monkeypatch, query, units):
 
 
 def test_no_budget_below_the_least_one_answers(monkeypatch):
-    # [a,b] needs 456 units.  Every budget below that is refused: 0-32 as a
-    # binomial is kept, 33-131 by round 1's check, the rest by a later pass's
-    # read check or (128 budgets in 164-423) its add-back check.
+    # [a,b] needs 456 units.  Every budget below that is refused: 0-131 by
+    # round 1's one check, the rest by a later pass's read check or (128
+    # budgets in 164-423) its add-back check.
     word = parse_word("[a,b]", f2())
     for units in range(456):
         monkeypatch.setattr(magnus, "MAX_KERNEL_WORK", units)
