@@ -4,14 +4,14 @@ The monoid ring is graded by trace length; everything of degree >= cap is
 discarded, so a series is a finite map from traces of length < cap to nonzero
 integers.  All arithmetic is exact (unbounded ints).  `magnus` computes images
 on its own int-coded kernel and returns them as `TruncatedSeries` values to
-be read: coefficients, degree parts, the least positive degree, equality and
-printing.  The one ring operation kept is the product, which multiplies
+be read: `terms`, `coefficient`, equality and printing; depth is read with
+`lcs_depth`.  The one ring operation kept is the product, which multiplies
 images (mu(u) * mu(v) == mu(u v)) and which perfbench traces.
 """
 
 from __future__ import annotations
 
-from .words import Trace, _digits, check_int
+from .words import _digits, check_int
 
 _CAP_MESSAGE = "cap must be a positive integer, got {!r}"
 
@@ -20,8 +20,9 @@ class TruncatedSeries:
     """Finite Z-linear combination of traces of length < cap, such as `mu`'s
     image of a word.
 
-    Normalized on construction: duplicate traces merged, zero coefficients
-    and over-cap terms dropped, terms kept in (degree, lex) order.  Treat
+    Normalized on construction, the one way to build a series from traces:
+    duplicate traces merged, zero coefficients and over-cap terms dropped,
+    terms kept in (degree, lex) order, the order of `Trace.key`.  Treat
     `terms` as read-only.
     """
 
@@ -38,7 +39,7 @@ class TruncatedSeries:
                 continue
             acc[trace] = acc.get(trace, 0) + coeff
         ordered = {}
-        for trace in sorted(acc, key=Trace.sort_key):
+        for trace in sorted(acc, key=lambda trace: trace.key):
             if acc[trace] != 0:
                 ordered[trace] = acc[trace]
         self.graph = graph
@@ -77,20 +78,6 @@ class TruncatedSeries:
         if trace.graph != self.graph:
             raise ValueError("trace lives over a different graph")
         return self.terms.get(trace, 0)
-
-    def degree_part(self, k):
-        """The sub-series of exactly-degree-k terms."""
-        if not 0 <= k < self.cap:
-            raise ValueError(f"degree {k} out of range [0, {self.cap})")
-        return TruncatedSeries(self.graph, self.cap,
-                               [(t, c) for t, c in self.terms.items() if t.length == k])
-
-    def min_positive_degree(self):
-        """Least d >= 1 with a nonzero degree-d term, or None."""
-        for trace in self.terms:
-            if trace.length >= 1:
-                return trace.length
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -62,11 +62,6 @@ class GroupWord:
         """Equivalent fully reduced word: the canonical form."""
         return self.canonical()
 
-    def is_fully_reduced(self):
-        # canonical() reorders, merges and drops zero exponents; only reordering
-        # keeps the syllable count.
-        return len(self.codes) == len(self.canonical().codes)
-
     def canonical(self):
         """The lexicographically least fully reduced representative.
 
@@ -118,9 +113,6 @@ class GroupWord:
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
         return self.canonical().codes == other.canonical().codes
-
-    def is_identity(self):
-        return not self.canonical().codes
 
     def norm(self):
         """Geodesic word length: the sum of |e_i| over the fully reduced form."""
@@ -224,9 +216,6 @@ class Trace:
     @property
     def length(self):
         return (self.key.bit_length() - 1) // letter_bits(self.graph)
-
-    def sort_key(self):
-        return self.key
 
     def __mul__(self, other):
         if not isinstance(other, Trace):

@@ -1,6 +1,7 @@
-"""The package boundary: integer arguments are checked as ints, vertex names
-are read only where a word or trace is built from them, and every name
-perfbench's tracer replaces still exists where the tracer looks."""
+"""The package boundary: the public API is pinned, integer arguments are
+checked as ints, vertex names are read only where a word or trace is built
+from them, and every name perfbench's tracer replaces still exists where the
+tracer looks."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import raaglcs
 from conftest import c4, f2, random_graph, random_word
 from raaglcs import (Dissection, Graph, GroupWord, Trace, TruncatedSeries,
                      commutator_witness, depth_function, enumerate_elements,
@@ -107,3 +109,43 @@ def test_names_and_codes_round_trip():
             assert GroupWord(graph, w.syllables).codes == w.codes
         for trace in mu(word, 4).terms:
             assert Trace(graph, trace.letters) == trace
+
+
+PUBLIC_API = {
+    "raaglcs": [
+        "ComponentCheck", "DepthFunctionRow", "DepthResult", "Dissection", "Graph", "GroupWord",
+        "InjectivityReport", "SurfaceDepthReport", "Trace", "TruncatedSeries", "VerifyReport",
+        "check_injectivity_criterion", "check_relator", "commutator", "commutator_witness",
+        "depth_function", "derive_intersections", "enumerate_elements", "format_dissection",
+        "in_dimension_subgroup", "intersection_graph", "lcs_depth", "load_dissection",
+        "load_graph", "mu", "parse_dissection", "parse_graph", "parse_syllables", "parse_word",
+        "phi", "relator_syllables", "standard_dissection", "surface_depth_check",
+        "syllable_factor", "verify_depth_bound"],
+    "Graph": ["__eq__", "__hash__", "__init__", "__repr__",
+              "are_adjacent", "edges", "index", "is_complete", "masks", "vertices"],
+    "GroupWord": ["__init__", "__mul__", "__repr__", "__str__",
+                  "canonical", "codes", "equals", "graph", "inverse", "norm", "reduced",
+                  "syllables"],
+    "Trace": ["__eq__", "__hash__", "__init__", "__mul__", "__repr__", "__str__",
+              "codes", "graph", "key", "length", "letters"],
+    "TruncatedSeries": ["__eq__", "__init__", "__mul__", "__repr__", "__str__",
+                        "cap", "coefficient", "graph", "terms"],
+    "Dissection": ["__delattr__", "__init__", "__repr__", "__setattr__",
+                   "components", "crosses", "crossing_sequences", "curves",
+                   "generator_names", "genus", "intersections"],
+}
+
+
+def public_names(cls):
+    """Every name without a leading underscore, and the special methods the
+    class itself defines (a `__hash__` that `__eq__` set to None is none)."""
+    special = [name for name, value in vars(cls).items()
+               if name.startswith("__") and callable(value)]
+    return sorted(special) + sorted(name for name in dir(cls) if not name.startswith("_"))
+
+
+def test_public_api_is_pinned():
+    """A change to the public API must edit this list and say so."""
+    assert raaglcs.__all__ == PUBLIC_API["raaglcs"]
+    for cls in (Graph, GroupWord, Trace, TruncatedSeries, Dissection):
+        assert public_names(cls) == PUBLIC_API[cls.__name__], cls.__name__

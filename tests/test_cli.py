@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import os
@@ -631,9 +632,8 @@ def run_python(args, cwd, preexec_fn=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def cap_address_space():
-    """Limit a child's address space to 96 MiB; runs in the child only."""
-    limit = 96 * 2 ** 20
+def cap_address_space(limit=96 * 2 ** 20):
+    """Limit a child's address space to `limit` bytes; runs in the child only."""
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -659,6 +659,20 @@ def test_magnus_refusal_fits_an_address_space_limit(tmp_path):
     argv = ["-m", "raaglcs.cli", "magnus", "--graph", f2_file(tmp_path), "--cap", "1000",
             "a^-1 b^-1"]
     assert run_python(argv, tmp_path, cap_address_space) == \
+        (2, "", "error: series computation needs more than 40000000 units of work\n")
+
+
+def test_big_coefficient_copies_refusal_fits_an_address_space_limit(tmp_path):
+    # Copies of one 4,000-digit coefficient through syllables with one-word
+    # binomials are charged only by term visits and letters, so this query
+    # peaks at about 215 MiB RSS before it is refused (VmPeak 215-219 MiB on
+    # Python 3.10-3.13).  The limit, about 1.3 times that, pins today's
+    # bound; a charge that counts those copies would refuse it sooner.
+    graph = graph_file(tmp_path, "vertices: " + " ".join(f"x{i}" for i in range(200)) + "\n")
+    word = f"x0^{'9' * 4000} " + " ".join(f"x{i}^-1" for i in range(1, 101))
+    argv = ["-m", "raaglcs.cli", "magnus", "--graph", graph, "--cap", "5", word]
+    limit = functools.partial(cap_address_space, 285 * 2 ** 20)
+    assert run_python(argv, tmp_path, limit) == \
         (2, "", "error: series computation needs more than 40000000 units of work\n")
 
 

@@ -214,7 +214,7 @@ def test_witness_uses_first_nonadjacent_pair():
 def test_witness_weight_three():
     w = commutator_witness(f2(), 3)
     assert w.norm() <= 10
-    assert not w.is_identity()
+    assert w.norm() > 0
     assert in_dimension_subgroup(w, 3)
 
 

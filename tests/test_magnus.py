@@ -212,7 +212,7 @@ def test_default_depth_matches_full_cap():
         w = random_word(rng, g, max_syllables=3, max_exp=2)
         incremental = lcs_depth(w)
         if incremental.kind == "infinite":
-            assert w.is_identity()
+            assert w.norm() == 0
             continue
         (degree, letters), _ = image_at_one_cap(w, w.norm() + 1)
         full = DepthResult.exact(degree, Trace(g, [g.vertices[a] for a in letters]))
@@ -244,7 +244,8 @@ def test_square_free_leading_term():
         lead = Trace(g, gens)
         image = mu(w, len(gens) + 1)
         assert image.coefficient(lead) == math.prod(exps)
-        assert GroupWord(g, [(a, 1) for a in lead.letters]).is_fully_reduced()
+        square_free = GroupWord(g, [(a, 1) for a in lead.letters])
+        assert len(square_free.codes) == len(square_free.canonical().codes)
 
 
 def test_depth_bounded_by_norm():
@@ -275,7 +276,7 @@ def test_left_normed_commutators_reach_weight():
     word = parse_word("a", g)
     step = parse_word("b", g)
     for k in range(1, 6):
-        assert not word.is_identity()
+        assert word.norm() > 0
         assert in_dimension_subgroup(word, k)
         word = commutator(word, step).reduced()
 
@@ -294,7 +295,7 @@ def assert_matches_oracle(word, cap):
         for t in sorted(image, key=lambda t: (len(t), t))]
     result = lcs_depth(word)
     if result.kind == "infinite":
-        assert word.is_identity()
+        assert word.norm() == 0
         traces = list(terms)
     else:  # every cap above the depth answers as this one
         (degree, letters), _ = image_at_one_cap(word, result.depth + 1)

@@ -84,13 +84,12 @@ def test_trace_matches_swap_closure(data):
 def test_lcs_depth_matches_generic_series(gw):
     _, word = gw
     result = lcs_depth(word)
-    if word.is_identity():
+    if word.norm() == 0:
         assert result.kind == "infinite"
         return
     series = generic_mu(word.reduced(), word.norm() + 1)
-    degree = series.min_positive_degree()
-    witness = next(t for t in series.terms if t.length == degree)
-    assert (result.kind, result.depth, result.witness_trace) == ("exact", degree, witness)
+    witness = next(t for t in series.terms if t.length)  # terms are in (degree, lex) order
+    assert (result.kind, result.depth, result.witness_trace) == ("exact", witness.length, witness)
 
 
 @FEW
@@ -102,11 +101,11 @@ def test_reduction_matches_piling(rng, data):
     for word in (u, u * v * u.inverse()):
         norm = piling_norm(word)
         assert word.norm() == norm
-        assert word.is_identity() == (norm == 0)
         canonical = word.canonical()
+        assert (not canonical.codes) == (norm == 0)
         again = GroupWord(graph, canonical.syllables)
         assert again.canonical().syllables == canonical.syllables
-        assert again.is_fully_reduced()
+        assert len(again.codes) == len(again.canonical().codes)
 
 
 @st.composite
@@ -126,7 +125,7 @@ def test_commutator_depth_is_superadditive(rng, data):
     graph = random_graph(rng, max_vertices=5, min_vertices=1)
     u, v = data.draw(element(graph)), data.draw(element(graph))
     uv = commutator(u, v)
-    if uv.is_identity():
+    if uv.norm() == 0:
         return
     assert lcs_depth(uv).depth >= lcs_depth(u).depth + lcs_depth(v).depth
 
@@ -179,7 +178,7 @@ def test_degree_sweep_matches_one_image(rng, data):
         word = commutator(word, data.draw(piece))
     default = lcs_depth(word)
     if default.kind == "infinite":
-        assert word.is_identity()
+        assert word.norm() == 0
         top = 3
     else:
         top = default.depth + 2  # every cap above the depth answers as this one

@@ -158,7 +158,7 @@ def test_phi_image_size_bound_is_exact():
 
 
 def test_phi_of_identity():
-    assert phi("1", standard_dissection(2)).is_identity()
+    assert phi("1", standard_dissection(2)).norm() == 0
 
 
 def test_phi_rejects_unknown_generator():
