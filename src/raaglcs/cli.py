@@ -122,7 +122,7 @@ def _shared_parser():
 
 
 # Standard curve systems kept per process; a Dissection is immutable, and
-# building one reduces its relator image twice.
+# building one reduces its relator image.
 _GENUS_MEMO_SIZE = 8
 
 

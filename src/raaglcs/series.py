@@ -11,9 +11,16 @@ images (mu(u) * mu(v) == mu(u v)) and which perfbench traces.
 
 from __future__ import annotations
 
-from .words import _digits, check_int
+from .words import Trace, _digits, check_int
 
 _CAP_MESSAGE = "cap must be a positive integer, got {!r}"
+
+
+def _check_trace(trace, graph, what):
+    if not isinstance(trace, Trace):
+        raise ValueError(f"{what} must be a Trace, got {type(trace).__name__}")
+    if trace.graph != graph:
+        raise ValueError(f"{what} lives over a different graph")
 
 
 class TruncatedSeries:
@@ -33,8 +40,9 @@ class TruncatedSeries:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for trace, coeff in items:
-            if trace.graph != graph:
-                raise ValueError("term trace lives over a different graph")
+            _check_trace(trace, graph, "term trace")
+            if isinstance(coeff, bool) or not isinstance(coeff, int):
+                raise ValueError(f"coefficient must be an int, got {type(coeff).__name__}")
             if trace.length >= cap or coeff == 0:
                 continue
             acc[trace] = acc.get(trace, 0) + coeff
@@ -75,8 +83,7 @@ class TruncatedSeries:
 
     def coefficient(self, trace):
         """Coefficient of a trace (0 if absent)."""
-        if trace.graph != self.graph:
-            raise ValueError("trace lives over a different graph")
+        _check_trace(trace, self.graph, "trace")
         return self.terms.get(trace, 0)
 
     def __eq__(self, other):

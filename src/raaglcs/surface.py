@@ -7,8 +7,9 @@ a homomorphism into the graph group whose commutation graph has the curves as
 vertices and the crossing pairs as edges; it is well defined exactly when the
 image of the genus relator [a1,b1]...[ag,bg] dies there, so a `Dissection`
 reduces that image once, when it is built, and keeps the verdict.  The
-standard genus-g system's crossing pairs are derived from that condition at
-every genus (`standard_dissection`), not read from a table.
+standard genus-g system (`standard_dissection`) takes its crossing pairs from
+a formula, the pairs that relator condition forces, and is built with that
+one reduction, which checks them at every genus.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def check_relator(dissection):
 
 
 def _standard_data(genus):
-    """Curves and crossing sequences of the standard genus-g system.
+    """Curves, crossing pairs (in curve order) and crossing sequences of the
+    standard genus-g system.
 
     Rejects a genus whose relator image (12 letters per handle) would exceed
     MAX_WORD_SYLLABLES before building anything.
@@ -183,53 +185,36 @@ def _standard_data(genus):
     curves = tuple(f"x{i}" for i in range(genus + 1))
     curves += tuple(f"y{k}" for k in range(1, genus + 1))
     curves += ("z",)
+    pairs = [("x0", "y1"), ("x0", "z")]
     crossing = {}
     for k, (a, b) in enumerate(_handles(genus), 1):
         crossing[a] = ((f"x{k - 1}", 1), (f"x{k}", -1))
         crossing[b] = ((f"x{k}", 1), ("z", 1), (f"y{k}", 1), (f"x{k}", -1))
-    return curves, crossing
+        pairs.append((f"x{k}", f"y{k}"))
+        pairs.append((f"x{k}", f"y{k + 1}" if k < genus else "z"))
+    return curves, tuple(pairs), crossing
 
 
 def standard_dissection(genus):
     """The standard genus-g curve system x0..xg, y1..yg, z.
 
-    Crossing words are a_k -> x_{k-1} x_k^-1 and b_k -> x_k z y_k x_k^-1.
-    The crossing pairs are derived from the relator, whose image must die.
-    In the freely reduced image (that of the edgeless system) every curve
-    occurs twice, with opposite signs, and the two must cancel each other;
-    when exactly one occurrence of another curve lies between them, it can
-    never be removed first, which forces the two curves to commute.  One
-    sweep finds these pairs: at a curve's second occurrence, every curve
-    opened after its first and still open is stranded.  The forced pairs
-    must then kill the relator, which makes them the unique minimal solution
-    (any solution contains them); RuntimeError if they do not.  They come
-    out as y_k crossing x_{k-1} and x_k, and z crossing x_0 and x_g.
+    Crossing words are a_k -> x_{k-1} x_k^-1 and b_k -> x_k z y_k x_k^-1;
+    y_k crosses x_{k-1} and x_k, and z crosses x_0 and x_g.  Each of these
+    pairs is forced by the relator: in its freely reduced image every curve
+    occurs twice, with opposite signs, and a curve with exactly one
+    occurrence of another between them must cross it.  The system is built
+    once, and its relator image must die; RuntimeError if it does not.
     """
-    curves, crossing = _standard_data(genus)
-    free = Dissection(genus, curves, (), crossing)
-    forced = []
-    opened = []
-    for curve, _ in free._relator_image.syllables:
-        if curve not in opened:
-            opened.append(curve)
-            continue
-        at = opened.index(curve)
-        forced += [(curve, other) for other in opened[at + 1:]]
-        del opened[at]
-    dissection = Dissection(genus, curves, forced, crossing)
+    curves, pairs, crossing = _standard_data(genus)
+    dissection = Dissection(genus, curves, pairs, crossing)
     if not check_relator(dissection):
-        raise RuntimeError("the forced crossing pairs do not kill the relator")
+        raise RuntimeError("the standard crossing pairs do not kill the relator")
     return dissection
 
 
-def _pairs_in_curve_order(dissection):
-    index = dissection._graph.index
-    return sorted(dissection.intersections, key=lambda p: (index(p[0]), index(p[1])))
-
-
 def derive_intersections(genus):
-    """The crossing pairs `standard_dissection` derives at genus g, in curve order."""
-    return tuple(_pairs_in_curve_order(standard_dissection(genus)))
+    """The crossing pairs of the standard genus-g system, in curve order."""
+    return _standard_data(genus)[1]
 
 
 @dataclass(frozen=True)
@@ -383,8 +368,9 @@ def format_dissection(dissection):
     lines = [f"genus: {dissection.genus}",
              f"curves: {' '.join(dissection.curves)}"]
     if dissection.intersections:
-        lines.append("intersections: " + " ".join(
-            f"{u}-{v}" for u, v in _pairs_in_curve_order(dissection)))
+        index = dissection._graph.index
+        pairs = sorted(dissection.intersections, key=lambda p: (index(p[0]), index(p[1])))
+        lines.append("intersections: " + " ".join(f"{u}-{v}" for u, v in pairs))
     for name in dissection.generator_names():
         seq = " ".join(c if s == 1 else f"{c}^-1"
                        for c, s in dissection.crossing_sequences[name])

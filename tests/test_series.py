@@ -86,6 +86,22 @@ def test_trace_over_another_graph_rejected():
         mu(parse_word("a b", f2()), 3).coefficient(Trace(p3(), "a"))
 
 
+@pytest.mark.parametrize("coeff", [1.5, True, False, "1", None, 2.0])
+def test_non_int_coefficient_rejected(coeff):
+    g = f2()
+    with pytest.raises(ValueError, match="coefficient must be an int"):
+        TruncatedSeries(g, 3, {Trace(g, "a"): 1, Trace(g, "b"): coeff})
+
+
+@pytest.mark.parametrize("key", ["a", ("a",), None, 0])
+def test_non_trace_key_rejected(key):
+    g = f2()
+    with pytest.raises(ValueError, match="term trace must be a Trace"):
+        TruncatedSeries(g, 3, [(Trace(g, "a"), 1), (key, 1)])
+    with pytest.raises(ValueError, match="trace must be a Trace"):
+        mu(parse_word("a b", g), 3).coefficient(key)
+
+
 def test_coefficient():
     g = f2()
     p = series(g, 3, ("", 1), ("ab", 2))

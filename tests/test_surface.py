@@ -220,6 +220,23 @@ def test_derived_table_matches_live_derivation():
         assert derive_intersections(genus) == tuple(expected)
 
 
+def test_standard_pairs_are_forced():
+    # Dropping one formula pair p from the complete curve graph leaves a
+    # relator image that survives, so every solution contains p; with the
+    # formula's pairs it dies, so they are the unique minimal solution.
+    for genus in range(2, 13):
+        d = standard_dissection(genus)
+        pairs = derive_intersections(genus)
+        index = intersection_graph(d).index
+        assert pairs == tuple(sorted(d.intersections,
+                                     key=lambda p: (index(p[0]), index(p[1]))))
+        every = [(u, v) for i, u in enumerate(d.curves) for v in d.curves[i + 1:]]
+        for pair in pairs:
+            others = [q for q in every if q != pair]
+            assert not check_relator(
+                Dissection(genus, d.curves, others, d.crossing_sequences)), (genus, pair)
+
+
 def test_derived_pattern():
     pairs = set(derive_intersections(3))
     expected = {("x0", "y1"), ("x1", "y1"), ("x1", "y2"), ("x2", "y2"),
@@ -374,13 +391,13 @@ def test_surface_depth_check_does_no_relator_work(monkeypatch):
     assert len(calls) == 1  # the word's image only
 
 
-def test_standard_dissection_reduces_relator_twice(monkeypatch):
+def test_standard_dissection_reduces_relator_once(monkeypatch):
     phi_calls = count_calls(monkeypatch, surface, "phi")
     data_calls = count_calls(monkeypatch, surface, "_standard_data")
     d = standard_dissection(5)
     assert check_relator(d)
-    # The edgeless system's image gives the forced pairs; the final one checks them.
-    assert [args[0] for args in phi_calls] == [relator_syllables(5)] * 2
+    # The one system built checks the formula's pairs against the relator.
+    assert [args[0] for args in phi_calls] == [relator_syllables(5)]
     assert len(data_calls) == 1
 
 
