@@ -40,11 +40,13 @@ class Graph:
         masks = [0] * len(vertices)
         pairs = set()
         for edge in edges:
-            u, v = edge
-            if u not in index:
-                raise ValueError(f"edge endpoint {u!r} is not a declared vertex")
-            if v not in index:
-                raise ValueError(f"edge endpoint {v!r} is not a declared vertex")
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertex names") from None
+            for end in (u, v):
+                if not isinstance(end, str) or end not in index:
+                    raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             if index[u] > index[v]:

@@ -184,8 +184,7 @@ def enumerate_elements(graph, max_norm):
     MAX_BALL_ELEMENTS elements raises ValueError before any is generated.
     """
     spheres = _ball(graph, max_norm)
-    trusted = GroupWord._trusted
-    return [trusted(graph, codes) for norm in range(1, len(spheres))
+    return [GroupWord._trusted(graph, codes, True) for norm in range(1, len(spheres))
             for codes in _sphere(graph, norm)]
 
 
@@ -223,7 +222,7 @@ def depth_function(graph, k, max_norm):
     spheres = _ball(graph, max_norm)
     for norm in range(1, len(spheres)):
         for codes in _sphere(graph, norm, k >= 2):
-            word = GroupWord._trusted(graph, codes)
+            word = GroupWord._trusted(graph, codes, True)
             if in_dimension_subgroup(word, k):
                 return DepthFunctionRow(k, "exact", norm, word)
     return DepthFunctionRow(k, "at_least", max_norm + 1)
@@ -291,7 +290,7 @@ def verify_depth_bound(graph, max_norm):
     for n in range(1, len(spheres)):
         inside = 0
         for codes in _sphere(graph, n, True):
-            word = GroupWord._trusted(graph, codes)
+            word = GroupWord._trusted(graph, codes, True)
             d = lcs_depth(word).depth
             if d is None or d > n:
                 violations.append((word, n, d))

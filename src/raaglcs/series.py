@@ -11,6 +11,7 @@ images (mu(u) * mu(v) == mu(u v)) and which perfbench traces.
 
 from __future__ import annotations
 
+from .graph import Graph
 from .words import Trace, _digits, check_int
 
 _CAP_MESSAGE = "cap must be a positive integer, got {!r}"
@@ -36,9 +37,15 @@ class TruncatedSeries:
     __slots__ = ("graph", "cap", "terms")
 
     def __init__(self, graph, cap, terms=()):
+        if not isinstance(graph, Graph):
+            raise ValueError(f"graph must be a Graph, got {type(graph).__name__}")
         check_int(cap, 1, _CAP_MESSAGE)
+        try:
+            items = terms.items() if isinstance(terms, dict) else [(t, c) for t, c in terms]
+        except (TypeError, ValueError):
+            raise ValueError("terms must be a dict or an iterable of (trace, coefficient) "
+                             "pairs") from None
         acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
         for trace, coeff in items:
             _check_trace(trace, graph, "term trace")
             if isinstance(coeff, bool) or not isinstance(coeff, int):
@@ -46,13 +53,8 @@ class TruncatedSeries:
             if trace.length >= cap or coeff == 0:
                 continue
             acc[trace] = acc.get(trace, 0) + coeff
-        ordered = {}
-        for trace in sorted(acc, key=lambda trace: trace.key):
-            if acc[trace] != 0:
-                ordered[trace] = acc[trace]
-        self.graph = graph
-        self.cap = cap
-        self.terms = ordered
+        self.graph, self.cap = graph, cap
+        self.terms = {t: acc[t] for t in sorted(acc, key=lambda t: t.key) if acc[t]}
 
     @classmethod
     def _trusted(cls, graph, cap, terms):

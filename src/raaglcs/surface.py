@@ -40,16 +40,16 @@ class Dissection:
 
     It is checked once, when built: its curve graph first (so `Graph` alone
     checks the curve names and the crossing pairs, with its own messages),
-    then the rest of its data and the reduced image of the genus relator,
-    which every relator check reads; an image over MAX_WORD_SYLLABLES letters
-    fails.
+    then the rest of its data, then the image of the genus relator, reduced
+    once; only whether it dies is kept, and every relator check reads that
+    verdict.  An image over MAX_WORD_SYLLABLES letters fails.
     Its attributes are read-only and hold tuples, a frozenset and a read-only
     mapping of crossing sequences, so that verdict cannot go stale and one
     system can be shared.
     """
 
     __slots__ = ("genus", "curves", "intersections", "crossing_sequences",
-                 "components", "_graph", "_crossing_codes", "_relator_image")
+                 "components", "_graph", "_crossing_codes", "_relator_ok")
 
     def __init__(self, genus, curves, intersections, crossing_sequences,
                  components=None):
@@ -105,7 +105,7 @@ class Dissection:
         self.components = components
         self._graph = graph
         self._crossing_codes = codes
-        self._relator_image = phi(relator_syllables(genus), self).canonical()
+        self._relator_ok = not phi(relator_syllables(genus), self).canonical().codes
 
     def __setattr__(self, name, value):
         # Each slot is set once, in __init__: a later change to the data could
@@ -163,12 +163,12 @@ def phi(word, dissection):
     letters = []
     for block, count in blocks:
         letters.extend(block * count)
-    return GroupWord._unreduced(dissection._graph, tuple(letters))
+    return GroupWord._trusted(dissection._graph, tuple(letters))
 
 
 def check_relator(dissection):
     """True iff the genus relator's image, reduced when built, is the identity."""
-    return not dissection._relator_image.codes
+    return dissection._relator_ok
 
 
 def _standard_data(genus):

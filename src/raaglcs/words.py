@@ -1,9 +1,11 @@
 """Syllable words over a commutation graph and traces in its positive monoid.
 
-A word stores only its `codes`, each generator its vertex index, and a trace
-only its packed `key`.  Names are read once, with `Graph.index`, where one is
-built from names, and written only where one is printed or its `syllables`
-or `letters` are read; `magnus`, `lab` and `surface` work on codes and keys.
+A word stores only its `codes`, each generator its vertex index, and a mark
+set when they are its canonical form; nothing else is cached.  A trace
+stores only its packed `key`.  Names are read once, with `Graph.index`,
+where one is built from names, and written only where one is printed or
+its `syllables` or `letters` are read; `magnus`, `lab` and `surface` work
+on codes and keys.
 
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
@@ -27,7 +29,8 @@ class GroupWord:
 
     Construction is purely syntactic: nothing is cancelled or reordered until
     `reduced()` or `canonical()` is called.  Instances are immutable, and
-    `codes` holds the word as (vertex index, exponent) pairs.
+    `codes` holds the word as (vertex index, exponent) pairs.  `canonical()`
+    returns a word marked canonical as it is, and stores nothing on any other.
     """
 
     __slots__ = ("graph", "codes", "_canonical")
@@ -38,20 +41,13 @@ class GroupWord:
             g = graph.index(gen)
             check_exponent(gen, exp)
             codes.append((g, exp))
-        self.graph, self.codes, self._canonical = graph, tuple(codes), None
+        self.graph, self.codes, self._canonical = graph, tuple(codes), False
 
     @classmethod
-    def _trusted(cls, graph, codes):
-        """A word from a code tuple already in canonical form; nothing is checked."""
+    def _trusted(cls, graph, codes, canonical=False):
+        """A word from a checked code tuple, marked if `canonical`; nothing is checked."""
         word = object.__new__(cls)
-        word.graph, word.codes, word._canonical = graph, codes, word
-        return word
-
-    @classmethod
-    def _unreduced(cls, graph, codes):
-        """A word from a checked code tuple, its canonical form unknown."""
-        word = object.__new__(cls)
-        word.graph, word.codes, word._canonical = graph, codes, None
+        word.graph, word.codes, word._canonical = graph, codes, canonical
         return word
 
     @property
@@ -83,8 +79,8 @@ class GroupWord:
         the pass is quadratic in the worst case: in (y z x)^N, x adjacent to
         y and z, each x crosses all y and z before it.
         """
-        if self._canonical is not None:
-            return self._canonical
+        if self._canonical:
+            return self
         masks = self.graph.masks
         gens, exps = [], []
         for g, exp in self.codes:
@@ -105,8 +101,7 @@ class GroupWord:
                     start += 1
                 gens.insert(start, g)
                 exps.insert(start, exp)
-        self._canonical = GroupWord._trusted(self.graph, tuple(zip(gens, exps)))
-        return self._canonical
+        return GroupWord._trusted(self.graph, tuple(zip(gens, exps)), True)
 
     def equals(self, other):
         """True iff both words represent the same group element."""
@@ -123,10 +118,10 @@ class GroupWord:
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
-        return GroupWord._unreduced(self.graph, self.codes + other.codes)
+        return GroupWord._trusted(self.graph, self.codes + other.codes)
 
     def inverse(self):
-        return GroupWord._unreduced(self.graph, tuple((g, -e) for g, e in reversed(self.codes)))
+        return GroupWord._trusted(self.graph, tuple((g, -e) for g, e in reversed(self.codes)))
 
     def __str__(self):
         if not self.codes:

@@ -1,9 +1,10 @@
 """Shared fixtures-as-functions: small graphs, seeded random samplers, the
-brute-force swap-closure oracle used to pin canonical forms, Chiswell's
-growth series used to count enumerations, the generic series oracle for
-`mu`, the one-image reference for the degree sweep in `magnus`, and the
-Hypothesis profiles."""
+check that a word is marked canonical, the brute-force swap-closure oracle
+used to pin canonical forms, Chiswell's growth series used to count
+enumerations, the generic series oracle for `mu`, the one-image reference
+for the degree sweep in `magnus`, and the Hypothesis profiles."""
 
+import gc
 import itertools
 import math
 import os
@@ -56,6 +57,12 @@ def random_word(rng, graph, max_syllables=4, max_exp=3):
     syls = [(rng.choice(graph.vertices), rng.choice(exps))
             for _ in range(rng.randint(0, max_syllables))]
     return GroupWord(graph, syls)
+
+
+def marked_canonical(word):
+    """True iff `canonical()` returns the word itself and the word holds no
+    reference to itself, so freeing it needs no cycle collection."""
+    return word.canonical() is word and all(r is not word for r in gc.get_referents(word))
 
 
 def swap_closure_lex_min(word):

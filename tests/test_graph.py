@@ -39,6 +39,17 @@ def test_unknown_endpoint_rejected():
         Graph(["a", "b"], [("a", "c")])
     with pytest.raises(ValueError, match="endpoint 'c' is not a declared vertex"):
         Graph(["a", "b"], [("c", "a")])  # the first endpoint is checked too
+    for end in (5, ["b"], None):  # not a name, hashable or not
+        with pytest.raises(ValueError) as err:
+            Graph(["a", "b"], [("a", end)])
+        assert str(err.value) == f"edge endpoint {end!r} is not a declared vertex"
+
+
+@pytest.mark.parametrize("edge", [("a",), ("a", "b", "a"), 1, None, "abc"], ids=repr)
+def test_edge_not_a_pair_rejected(edge):
+    with pytest.raises(ValueError) as err:
+        Graph(["a", "b"], [("a", "b"), edge])
+    assert str(err.value) == f"edge {edge!r} is not a pair of vertex names"
 
 
 @pytest.mark.parametrize("name", ["", "a-b", "a b", "a,b", 7])

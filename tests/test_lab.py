@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (c4, f2, freely_reduced_strings, growth_series, k3,
-                      k3_minus_edge, p3, random_graph, swap_closure_lex_min, z2)
+from conftest import (c4, f2, freely_reduced_strings, growth_series, k3, k3_minus_edge,
+                      marked_canonical, p3, random_graph, swap_closure_lex_min, z2)
 from raaglcs import (Graph, GroupWord, VerifyReport, commutator_witness, depth_function,
                      enumerate_elements, in_dimension_subgroup, lcs_depth, mu,
                      verify_depth_bound)
@@ -71,12 +71,20 @@ def test_enumerate_sorted_dedup_canonical():
         assert w.syllables
 
 
+def test_enumerated_words_and_witness_are_marked_canonical():
+    for graph in (f2(), p3(), c4()):
+        for w in enumerate_elements(graph, 3):
+            assert marked_canonical(w)
+    for graph, k in ((f2(), 1), (f2(), 2), (p3(), 2)):
+        assert marked_canonical(depth_function(graph, k, 4).minimal_witness)
+
+
 def test_enumerate_counts_match_growth_series():
     for graph in (f2(), z2(), p3(), c4(), k3_minus_edge()):
         by_norm = [0] * 7
         for w in enumerate_elements(graph, 6):
             by_norm[w.norm()] += 1
-            # a freshly built word, with no cached reduction or canonical form
+            # a freshly built word, not marked canonical
             assert w.syllables == GroupWord(graph, w.syllables).canonical().syllables
         assert by_norm[1:] == growth_series(graph, 6)[1:]
 

@@ -102,6 +102,23 @@ def test_non_trace_key_rejected(key):
         mu(parse_word("a b", g), 3).coefficient(key)
 
 
+@pytest.mark.parametrize("graph", ["notagraph", None, ("a", "b")], ids=repr)
+def test_non_graph_rejected(graph):
+    with pytest.raises(ValueError, match="graph must be a Graph"):
+        TruncatedSeries(graph, 3)
+    with pytest.raises(ValueError, match="graph must be a Graph"):
+        TruncatedSeries(graph, 2, {})
+
+
+@pytest.mark.parametrize("terms", [[1], 5, None, [(Trace(f2(), "a"),)],
+                                   [(Trace(f2(), "a"), 1, 2)], [(Trace(f2(), "a"), 1), 7]],
+                         ids=repr)
+def test_terms_not_trace_coefficient_pairs_rejected(terms):
+    with pytest.raises(ValueError, match=r"terms must be a dict or an iterable of "
+                                         r"\(trace, coefficient\) pairs"):
+        TruncatedSeries(f2(), 3, terms)
+
+
 def test_coefficient():
     g = f2()
     p = series(g, 3, ("", 1), ("ab", 2))

@@ -1,8 +1,9 @@
+import gc
 import random
 
 import pytest
 
-from raaglcs import (ComponentCheck, Dissection, Graph, check_injectivity_criterion,
+from raaglcs import (ComponentCheck, Dissection, Graph, GroupWord, check_injectivity_criterion,
                      check_relator, derive_intersections, format_dissection,
                      intersection_graph, lcs_depth, parse_dissection, phi,
                      relator_syllables, standard_dissection,
@@ -38,6 +39,9 @@ def test_undeclared_curve_rejected():
     with pytest.raises(ValueError) as err:
         tiny_dissection(intersections=[("x", "w")])
     assert str(err.value) == "edge endpoint 'w' is not a declared vertex"
+    with pytest.raises(ValueError) as err:
+        tiny_dissection(intersections=[1])
+    assert str(err.value) == "edge 1 is not a pair of vertex names"
     with pytest.raises(ValueError, match="undeclared curve"):
         tiny_dissection(sequences={"a1": (("w", 1),), "b1": ()})
 
@@ -258,7 +262,10 @@ def test_relator_syllables_shape():
 def test_relator_fails_without_intersections():
     d = standard_dissection(2)
     stripped = Dissection(2, d.curves, (), d.crossing_sequences)
-    assert not check_relator(stripped)
+    assert check_relator(stripped) is False
+    assert check_relator(d) is True
+    for system in (d, stripped):  # each keeps its verdict, not the relator image
+        assert not any(isinstance(r, GroupWord) for r in gc.get_referents(system))
 
 
 def test_relator_vacuous_for_empty_sequences():
@@ -409,7 +416,7 @@ def test_dissection_is_read_only():
         d.crossing_sequences["a1"] = (("x0", 1),)
     with pytest.raises(TypeError):
         del d.crossing_sequences["b2"]
-    for name in ("genus", "intersections", "crossing_sequences", "_relator_image"):
+    for name in ("genus", "intersections", "crossing_sequences", "_relator_ok"):
         with pytest.raises(AttributeError):
             setattr(d, name, getattr(d, name))
         with pytest.raises(AttributeError):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import (f2, k3, p3, piling_is_trivial, random_graph, random_word,
-                      swap_closure_lex_min, z2)
+from conftest import (f2, k3, marked_canonical, p3, piling_is_trivial, random_graph,
+                      random_word, swap_closure_lex_min, z2)
 from raaglcs import GroupWord, Trace, commutator, parse_syllables, parse_word
 from raaglcs.words import MAX_WORD_SYLLABLES
 
@@ -70,6 +70,23 @@ def test_canonical_matches_swap_closure_random():
         if w.norm() > 5:
             continue
         assert w.canonical().syllables == swap_closure_lex_min(w)
+
+
+def test_canonical_form_is_marked_and_not_self_referent():
+    for w in (parse_word("c b a c^-1 b^2", p3()), parse_word("a b a^-1", z2()), GroupWord(f2())):
+        assert marked_canonical(w.canonical())
+        assert marked_canonical(w.reduced())
+
+
+def test_canonical_stores_nothing_on_an_unmarked_word():
+    w = parse_word("b a b^-1 c a^2", p3())
+    codes = w.codes
+    first, second = w.canonical(), w.canonical()
+    assert first.codes == second.codes == ((0, 1), (2, 1), (0, 2))  # b commutes with a
+    assert first is not second and first is not w
+    assert w.codes == codes
+    for built in (w * w, w.inverse()):  # words a product builds are not marked
+        assert built.canonical() is not built
 
 
 def test_canonical_is_equal_to_original():
