@@ -13,6 +13,17 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 MAX_VERTICES = 20_000
 
 
+def check_pairs(items, message):
+    """Yield each item as a pair; ValueError(message.format(item)) on one that is not."""
+    item = items  # named when `items` itself is not iterable
+    try:
+        for item in items:
+            first, second = item
+            yield first, second
+    except (TypeError, ValueError):
+        raise ValueError(message.format(item)) from None
+
+
 class Graph:
     """Finite simple graph with ordered, named vertices.
 
@@ -39,11 +50,7 @@ class Graph:
             index[v] = len(index)
         masks = [0] * len(vertices)
         pairs = set()
-        for edge in edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} is not a pair of vertex names") from None
+        for u, v in check_pairs(edges, "edge {!r} is not a pair of vertex names"):
             for end in (u, v):
                 if not isinstance(end, str) or end not in index:
                     raise ValueError(f"edge endpoint {end!r} is not a declared vertex")

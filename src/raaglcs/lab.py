@@ -50,10 +50,9 @@ front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .magnus import in_dimension_subgroup, lcs_depth
 from .words import GroupWord, check_int, check_word_size, commutator
@@ -188,8 +187,7 @@ def enumerate_elements(graph, max_norm):
             for codes in _sphere(graph, norm)]
 
 
-@dataclass(frozen=True)
-class DepthFunctionRow:
+class DepthFunctionRow(NamedTuple):
     """Least norm among nontrivial elements of the k-th lower central term.
 
     kind "exact" carries the norm and the first witness in enumeration order;
@@ -250,8 +248,7 @@ def commutator_witness(graph, k):
     return word
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of the depth <= norm sweep up to max_norm."""
 
     max_norm: int

@@ -72,8 +72,7 @@ against a product of `math.comb` binomials on letter tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .series import _CAP_MESSAGE, TruncatedSeries
 from .words import GroupWord, Trace, check_int, insert_packed, letter_bits
@@ -245,8 +244,7 @@ def in_dimension_subgroup(word, k):
     return lcs_depth(word, k).kind != "exact"
 
 
-@dataclass(frozen=True)
-class DepthResult:
+class DepthResult(NamedTuple):
     """Depth of an element in the lower central series.
 
     kind is "exact" (depth is exactly `depth`), "at_least" (nothing below the

@@ -14,12 +14,11 @@ one reduction, which checks them at every genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .graph import Graph, _keyed_lines, _pairs
+from .graph import Graph, _keyed_lines, _pairs, check_pairs
 from .magnus import lcs_depth
 from .words import (MAX_WORD_SYLLABLES, GroupWord, check_exponent, check_int,
                     check_word_size, parse_syllables)
@@ -62,16 +61,15 @@ class Dissection:
                 f"b1..b{genus}")
         sequences, codes = {}, {}  # codes: each sequence as (vertex index, sign) pairs
         for name, seq in crossing_sequences.items():
-            entries = []
-            for curve, sign in seq:
+            entries = tuple(check_pairs(seq, f"{name!r} entry {{!r}} is not a (curve, sign) pair"))
+            for curve, sign in entries:
                 if curve not in graph._index:
                     raise ValueError(
                         f"crossing sequence of {name!r} names undeclared curve {curve!r}")
                 if type(sign) is not int or sign not in (1, -1):
                     raise ValueError(
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
-                entries.append((curve, sign))
-            sequences[name] = tuple(entries)
+            sequences[name] = entries
             codes[name] = tuple((graph._index[curve], sign) for curve, sign in entries)
         if components is not None:
             components = tuple(tuple((str(e), c) for e, c in circuit)
@@ -152,7 +150,7 @@ def phi(word, dissection):
     """
     syllables = parse_syllables(word) if isinstance(word, str) else list(word)
     blocks = []
-    for name, exp in syllables:
+    for name, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
         seq = dissection._crossing_codes.get(name)
         if seq is None:
             raise ValueError(f"unknown surface generator {name!r}")
@@ -217,15 +215,13 @@ def derive_intersections(genus):
     return _standard_data(genus)[1]
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
+class ComponentCheck(NamedTuple):
     index: int
     passed: bool
     violation: Optional[tuple] = None  # (edge, edge, reason)
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     components: tuple
 
     @property
@@ -259,8 +255,7 @@ def check_injectivity_criterion(dissection):
     return InjectivityReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class SurfaceDepthReport:
+class SurfaceDepthReport(NamedTuple):
     """Transfer check data for one surface word.
 
     surface_length is the written length of the word; image_norm the geodesic

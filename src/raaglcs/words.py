@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 import sys
 
+from .graph import check_pairs
+
 
 class GroupWord:
     """A word s1^e1 ... sn^en over the vertices of a commutation graph.
@@ -37,7 +39,7 @@ class GroupWord:
 
     def __init__(self, graph, syllables=()):
         codes = []
-        for gen, exp in syllables:
+        for gen, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
             g = graph.index(gen)
             check_exponent(gen, exp)
             codes.append((g, exp))

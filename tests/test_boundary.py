@@ -1,11 +1,14 @@
 """The package boundary: the public API is pinned, integer arguments are
 checked as ints, vertex names are read only where a word or trace is built
-from them, and every name perfbench's tracer replaces still exists where the
-tracer looks."""
+from them, every name perfbench's tracer replaces still exists where the
+tracer looks, and the result records are immutable named tuples that the
+CLI imports without `dataclasses` or `inspect`."""
 
 import importlib
 import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,9 +16,10 @@ import pytest
 import raaglcs
 from conftest import c4, f2, random_graph, random_word
 from raaglcs import (Dissection, Graph, GroupWord, Trace, TruncatedSeries,
-                     commutator_witness, depth_function, enumerate_elements,
-                     in_dimension_subgroup, lcs_depth, mu, parse_word, phi,
-                     standard_dissection, surface_depth_check, verify_depth_bound)
+                     check_injectivity_criterion, commutator_witness, depth_function,
+                     enumerate_elements, in_dimension_subgroup, lcs_depth, mu,
+                     parse_dissection, parse_word, phi, standard_dissection,
+                     surface_depth_check, verify_depth_bound)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -149,3 +153,30 @@ def test_public_api_is_pinned():
     assert raaglcs.__all__ == PUBLIC_API["raaglcs"]
     for cls in (Graph, GroupWord, Trace, TruncatedSeries, Dissection):
         assert public_names(cls) == PUBLIC_API[cls.__name__], cls.__name__
+
+
+def test_result_records_are_immutable():
+    d = parse_dissection("genus: 1\ncurves: x y\nintersections: x-y\ngen a1: x\n"
+                         "gen b1: y\ncomponent: e1:x e2:y\n")
+    injectivity = check_injectivity_criterion(d)
+    records = [lcs_depth(WORD), depth_function(f2(), 2, 4), verify_depth_bound(f2(), 3),
+               injectivity.components[0], injectivity, surface_depth_check("[a1,b1]", d)]
+    assert [type(r).__name__ for r in records] == [
+        "DepthResult", "DepthFunctionRow", "VerifyReport", "ComponentCheck",
+        "InjectivityReport", "SurfaceDepthReport"]
+    for record in records:
+        for field in type(record).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+    for record in records:  # named tuples: fields are read by name or position
+        assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site .pth file can import either module first.
+    src = str(Path(raaglcs.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import raaglcs.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

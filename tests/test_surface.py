@@ -60,6 +60,13 @@ def test_bad_crossing_sign_rejected():
         assert str(err.value) == "crossing sign for 'x' in 'a1' must be +1 or -1"
 
 
+@pytest.mark.parametrize("entry", [1, ("x",), ("x", 1, 1)], ids=repr)
+def test_crossing_entry_not_a_pair_rejected(entry):
+    with pytest.raises(ValueError) as err:
+        tiny_dissection(sequences={"a1": (("x", 1), entry), "b1": ()})
+    assert str(err.value) == f"'a1' entry {entry!r} is not a (curve, sign) pair"
+
+
 def test_component_validation():
     with pytest.raises(ValueError, match="more than twice"):
         tiny_dissection(components=[[("e1", "x"), ("e1", "x"), ("e1", "x")]])
@@ -168,6 +175,15 @@ def test_phi_of_identity():
 def test_phi_rejects_unknown_generator():
     with pytest.raises(ValueError, match="unknown surface generator"):
         phi("c1", standard_dissection(2))
+
+
+@pytest.mark.parametrize("syllable", [1, ("a1",), ("a1", 1, 2)], ids=repr)
+def test_phi_rejects_a_syllable_not_a_pair(syllable):
+    d = standard_dissection(2)
+    for call in (phi, surface_depth_check):
+        with pytest.raises(ValueError) as err:
+            call([("b1", 1), syllable], d)
+        assert str(err.value) == f"syllable {syllable!r} is not a (name, exponent) pair"
 
 
 def test_phi_is_homomorphism():

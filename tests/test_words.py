@@ -277,6 +277,15 @@ def test_parse_rejects_junk():
         parse_syllables("a]")
 
 
+@pytest.mark.parametrize("syllables", [[1], [("a",)], [("a", 1, 2)], 5], ids=repr)
+def test_syllable_not_a_pair_rejected(syllables):
+    # 5 is named itself: it is not the iterable of pairs a word is built from.
+    bad = syllables if syllables == 5 else syllables[0]
+    with pytest.raises(ValueError) as err:
+        GroupWord(f2(), syllables)
+    assert str(err.value) == f"syllable {bad!r} is not a (name, exponent) pair"
+
+
 def test_parse_word_validates_generators():
     with pytest.raises(ValueError, match="unknown vertex"):
         parse_word("a x", f2())
