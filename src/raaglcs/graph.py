@@ -71,7 +71,7 @@ class Graph:
         """Position of vertex v in the declaration order."""
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError(f"unknown vertex {v!r}") from None
 
     def are_adjacent(self, u, v):

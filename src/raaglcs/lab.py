@@ -22,23 +22,45 @@ norm: the depth function stops at its first hit, and the depth <= norm
 sweep never holds the ball.
 
 A generator whose syllable leaves every generator forbidden ends the word,
-so the walk places only its exponents +-left there; on a one-vertex graph a
-sphere costs two stack entries, not 2 * norm.
+so the full walk places only its exponents +-left there; on a one-vertex
+graph a sphere costs two stack entries, not 2 * norm.  Such a generator is
+adjacent to every other, so a canonical word holds it at most once, with a
+nonzero sum: the pruned walks below never place it.
 
-The derived walk yields only the elements of [G, G] = gamma_2, the kernel
-of abelianisation.  Its stack entries carry the prefix's exponent sum per
-generator and ab_norm, the sum of their absolute values, and it skips a
-subtree whose prefix has ab_norm above the norm left to spend.  That is
+The walk has a level.  Level 0, the full walk, yields every element and
+keeps no sums.  Level 1 yields only the elements of [G, G] = gamma_2, the
+kernel of abelianisation.  Its stack entries carry the prefix's exponent
+sum per generator and ab_norm, the sum of their absolute values, and it
+skips a child whose ab_norm is above the norm left to spend.  That is
 exact: a syllable s^e moves ab_norm by at most |e|, the exponents still to
 come add up to the norm left, so no element below such a prefix has
-ab_norm 0.  The elements that remain come out in the same order.  The full
-walk is the same child loop unpruned, and keeps no sums.
-For k >= 2 the depth function wants elements of gamma_k, inside gamma_2, so
-it scans the derived walk, and its first hit and witness are those of the
-full scan.  The depth <= norm sweep runs `lcs_depth` on the derived walk
-alone: every other element has depth 1, and their number per norm is the
-sphere's size less the elements walked.  Both searches ask `magnus` only
-its public questions, `lcs_depth` and `in_dimension_subgroup`, of the
+ab_norm 0.  Only the exponents that pass are tried, a range per generator.
+Level 2 yields only the elements of gamma_3.  For w in [G, G], the
+degree-2 part of its Magnus image is the sum of c_hk [h, k] over the
+non-adjacent pairs h < k, where c_hk is the sum of e_i e_j over
+h-syllables i before k-syllables j (Duchamp-Krob 1992), so w is in gamma_3
+iff every c_hk is 0.  Level 2 carries q_hk = c_hk - s_h s_k, s the
+exponent sums, as a dict of its nonzero entries: appending g^e leaves
+c_hg - s_h s_g unchanged and moves only q_gk, by -e s_k, for each k > g
+not adjacent to g.  A suffix v of norm L turns q_hk into q_hk + c_hk(v)
+when the word ends with every sum 0, and |c_hk(v)| <= n_h(v) n_k(v) <=
+floor(L^2 / 4), n_h(v) the norm v spends on h.  So level 2 skips a child
+with some |q_hk| above floor(rest^2 / 4), exactly; at a leaf the bound is
+0 and q = c.  Every level yields its elements in the order of the full
+walk.
+
+`depth_function(graph, k, n)` walks at level min(k - 1, 2): gamma_k lies
+inside gamma_2 and, for k >= 3, inside gamma_3, so its first hit and
+witness are those of the full scan.  The depth <= norm sweep walks at
+level 2 and counts the rest.  The state (forbidden, norm left, exponent
+sums) fixes how many level-1 leaves lie below it, so a recursion over it,
+memoized and by the walk's own child rule, counts the elements of [G, G]
+in a sphere without generating them.  Depth 1 is the sphere's size less
+that count, depth 2 the count less the elements of gamma_3 walked, and
+only those go through `lcs_depth`.  The states one sphere adds to the
+memo are those of prefixes of its elements, each an element of the ball,
+so the ball bound caps them too.  Both searches ask `magnus` only its
+public questions, `lcs_depth` and `in_dimension_subgroup`, of the
 elements the walk yields.
 
 Each sphere's size is known before anything is generated, from the
@@ -129,49 +151,129 @@ def _ball(graph, max_norm):
     return spheres
 
 
-def _sphere(graph, norm, derived=False):
-    """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
-    order, from one child loop.  With `derived` only the elements of [G, G]
-    come out: a subtree is skipped when its prefix's ab_norm exceeds the norm
-    left to spend (module docstring); without it nothing is pruned.  An
-    element of [G, G] has every exponent sum 0, so an even norm: the derived
-    walk of an odd norm is empty.
+def _syllables(masks, forbidden, tried):
+    """The generators in bitmask `tried` that may follow a prefix in state
+    `forbidden`, as (g, after, last): generator g, the state after its
+    syllable, and whether that syllable ends the word, every generator
+    being forbidden after it.  They come in descending order, the reverse
+    of lex order.
     """
-    if derived and norm % 2:
+    dead = (1 << len(masks)) - 1
+    tried &= dead & ~forbidden
+    while tried:
+        g = tried.bit_length() - 1
+        tried ^= 1 << g
+        after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
+        yield g, after, after == dead
+
+
+def _steps(masks, forbidden, left, sums, ab_norm):
+    """The children of a level-1 state, as (g, e, after, rest, moved): the
+    syllable g^e, the state after it, the norm left and the child's
+    ab_norm, in descending (g, e) order.  Only the children whose ab_norm
+    is at most the norm left come out (module docstring), and only they
+    are tried.
+
+    With c the prefix's sum on g, g^e moves ab_norm by |c + e| - |c|, so
+    they are the e of sign opposite to c with |e| <= half + |c|, and the
+    others with |e| <= half, half being floor((left - ab_norm) / 2).  An
+    admitted state has |c| <= ab_norm <= left, so |e| <= left holds
+    already.
+    """
+    half = (left - ab_norm) // 2
+    # with no slack, a child must bring some exponent sum towards 0
+    tried = -1 if half else sum(1 << k for k in sums)
+    for g, after, last in _syllables(masks, forbidden, tried):
+        if last:  # g is central, so placed at most once: its sum cannot return to 0
+            continue
+        c = sums.get(g, 0)
+        others = ab_norm - abs(c)
+        for e in (*range(half - min(c, 0), 0, -1), *range(-1, -half - max(c, 0) - 1, -1)):
+            yield g, e, after, left - abs(e), others + abs(c + e)
+
+
+def _added(sums, g, e):
+    """The exponent sums after a syllable g^e, with no zero entry."""
+    s = sums.get(g, 0) + e
+    if s:
+        return {**sums, g: s}
+    return {h: t for h, t in sums.items() if h != g}
+
+
+def _sphere(graph, norm, level=0):
+    """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
+    order.  Level 0 yields every element, level 1 those of [G, G] and
+    level 2 those of gamma_3, each by an exact prune (module docstring).
+    An element of [G, G] has every exponent sum 0, so an even norm: levels
+    >= 1 walk nothing at odd norms.
+    """
+    if level and norm % 2:
         return
     masks = graph.masks
-    dead = (1 << len(masks)) - 1
-    # (prefix, forbidden, norm left, the parent's exponent sums {generator
-    # index: sum}, the prefix's ab_norm); the sums are kept only by the
-    # derived walk, so the full walk's ab_norm is just the norm spent.
-    stack = [((), 0, norm, {}, 0)]
+    # (prefix, forbidden, norm left, the parent's exponent sums, the
+    # prefix's q, the prefix's ab_norm); levels >= 1 add the last syllable
+    # to the sums only when the entry is popped, so a leaf never copies them.
+    stack = [((), 0, norm, {}, {}, 0)]
     while stack:
-        codes, forbidden, left, sums, ab_norm = stack.pop()
+        codes, forbidden, left, sums, q, ab_norm = stack.pop()
         if not left:
             yield codes
             continue
-        if derived and codes:  # shared with the siblings: copy before adding the last syllable
-            last, e = codes[-1]
-            sums = {**sums, last: sums.get(last, 0) + e}
-        exponents = None
-        # Children go on the stack in reverse, so they come off ascending.
-        for g in range(len(masks) - 1, -1, -1):
-            if forbidden >> g & 1:
-                continue
-            after = 1 << g | masks[g] & ((1 << g) - 1 | forbidden)
-            if after == dead:
-                ends = (left, -left)  # nothing may follow: only the last syllable fits
-            else:
-                if exponents is None:
-                    exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
-                ends = exponents
-            c = sums.get(g, 0)
-            others = ab_norm - abs(c)
-            for e in ends:
-                rest = left - abs(e)
-                moved = others + abs(c + e)
-                if moved <= rest or not derived:  # else its abelianisation cannot return to 0
-                    stack.append((codes + ((g, e),), after, rest, sums, moved))
+        if not level:
+            exponents = None
+            for g, after, last in _syllables(masks, forbidden, -1):
+                if last:
+                    ends = (left, -left)  # nothing may follow: only the last syllable fits
+                else:
+                    if exponents is None:
+                        exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
+                    ends = exponents
+                for e in ends:
+                    stack.append((codes + ((g, e),), after, left - abs(e), sums, q, 0))
+            continue
+        if codes:  # shared with the siblings: copy before adding the last syllable
+            sums = _added(sums, *codes[-1])
+        if level == 2:
+            top = max(map(abs, q.values()), default=0)
+            row_of = None
+        for g, e, after, rest, moved in _steps(masks, forbidden, left, sums, ab_norm):
+            pairs = q
+            if level == 2:
+                if g != row_of:  # the pairs (g, k) that g's syllables move
+                    row_of = g
+                    row = [(k, s) for k, s in sums.items() if k > g and not masks[g] >> k & 1]
+                if row:
+                    pairs = {**q}
+                    for k, s in row:
+                        v = pairs.pop((g, k), 0) - e * s
+                        if v:
+                            pairs[(g, k)] = v
+                if (max(map(abs, pairs.values()), default=0) if row else top) > rest * rest >> 2:
+                    continue  # no suffix of norm rest can bring some q_hk back to 0
+            stack.append((codes + ((g, e),), after, rest, sums, pairs, moved))
+
+
+def _derived_size(masks, forbidden, left, sums, ab_norm, memo):
+    """How many leaves of the level-1 walk lie below a state: with the root
+    state (0, n, {}, 0), the size of [G, G] in the sphere of norm n.
+
+    A recursion over the walk state (forbidden, norm left, exponent sums),
+    which fixes everything below it, by the walk's own child rule
+    `_steps`.  `memo` keeps the count of every state below the root, keyed
+    by that state; one memo serves all the spheres of a search.
+    """
+    found = 0
+    for g, e, after, rest, moved in _steps(masks, forbidden, left, sums, ab_norm):
+        if not rest:
+            found += 1
+            continue
+        child = _added(sums, g, e)
+        key = (after, rest, frozenset(child.items()))
+        size = memo.get(key)
+        if size is None:
+            size = memo[key] = _derived_size(masks, after, rest, child, moved, memo)
+        found += size
+    return found
 
 
 def enumerate_elements(graph, max_norm):
@@ -205,8 +307,10 @@ def depth_function(graph, k, max_norm):
     """Depth function value at k by exhaustive scan of norms <= max_norm.
 
     Elements are streamed in (norm, lex) order and the scan stops at the
-    first one that `in_dimension_subgroup` puts in the k-th term.  For k >= 2
-    it skips the subtrees outside [G, G], which is exact (module docstring).
+    first one that `in_dimension_subgroup` puts in the k-th term.  It walks
+    at level min(k - 1, 2): for k >= 2 it skips the subtrees outside
+    [G, G], and for k >= 3 those outside gamma_3, both exactly (module
+    docstring), so for k <= 3 the first element asked is the hit.
     """
     check_int(k, 1, "k must be >= 1")
     if k >= 2 and graph.is_complete():
@@ -219,7 +323,7 @@ def depth_function(graph, k, max_norm):
         return DepthFunctionRow(k, "at_least", max_norm + 1)
     spheres = _ball(graph, max_norm)
     for norm in range(1, len(spheres)):
-        for codes in _sphere(graph, norm, k >= 2):
+        for codes in _sphere(graph, norm, min(k - 1, 2)):
             word = GroupWord._trusted(graph, codes, True)
             if in_dimension_subgroup(word, k):
                 return DepthFunctionRow(k, "exact", norm, word)
@@ -273,27 +377,34 @@ class VerifyReport(NamedTuple):
 def verify_depth_bound(graph, max_norm):
     """Check depth <= norm for every nontrivial element of norm <= max_norm.
 
-    Only the elements of [G, G] are walked, by the derived walk of
-    `_sphere`, and go through `lcs_depth`.  Every other element has depth 1,
-    and each sphere's count of them is its size from the growth series less
-    the elements walked, so none of them is generated.  Complete graphs are
-    allowed (a degenerate run where every depth is 1).  `lcs_depth` searches
-    no deeper than the norm, so an element it finds no depth for is a
-    violation of depth None, counted in `checked` but in no cell.
+    Only the elements of gamma_3 are walked, by `_sphere` at level 2, and
+    go through `lcs_depth`.  The depths 1 and 2 are counted, not generated:
+    per sphere, depth 1 is its size from the growth series less the size
+    of [G, G] in it, which `_derived_size` counts, and depth 2 is that
+    count less the elements walked.  A sphere with no element of [G, G]
+    is not walked.  Complete graphs are allowed (a degenerate run where
+    every depth is 1).  `lcs_depth` searches no deeper than the norm, so
+    an element it finds no depth for is a violation of depth None, counted
+    in `checked` but in no cell.
     """
     spheres = _ball(graph, max_norm)
     cells = {}
     violations = []
+    memo = {}
     for n in range(1, len(spheres)):
+        derived = _derived_size(graph.masks, 0, n, {}, 0, memo) if n % 2 == 0 else 0
         inside = 0
-        for codes in _sphere(graph, n, True):
-            word = GroupWord._trusted(graph, codes, True)
-            d = lcs_depth(word).depth
-            if d is None or d > n:
-                violations.append((word, n, d))
-            if d is not None:
-                cells[(n, d)] = cells.get((n, d), 0) + 1
-            inside += 1
-        if spheres[n] > inside:  # a nonzero abelianisation: depth 1
-            cells[(n, 1)] = cells.get((n, 1), 0) + spheres[n] - inside
+        if derived:
+            for codes in _sphere(graph, n, 2):
+                word = GroupWord._trusted(graph, codes, True)
+                d = lcs_depth(word).depth
+                if d is None or d > n:
+                    violations.append((word, n, d))
+                if d is not None:
+                    cells[(n, d)] = cells.get((n, d), 0) + 1
+                inside += 1
+        if spheres[n] > derived:  # outside [G, G]: depth 1
+            cells[(n, 1)] = spheres[n] - derived
+        if derived > inside:  # in [G, G] but not in gamma_3: depth 2
+            cells[(n, 2)] = derived - inside
     return VerifyReport(max_norm, sum(spheres[1:]), cells, violations)

@@ -72,8 +72,10 @@ class Dissection:
             sequences[name] = entries
             codes[name] = tuple((graph._index[curve], sign) for curve, sign in entries)
         if components is not None:
-            components = tuple(tuple((str(e), c) for e, c in circuit)
-                               for circuit in components)
+            components = tuple(
+                tuple((str(e), c) for e, c in check_pairs(
+                    circuit, "component entry {!r} is not an (edge id, curve) pair"))
+                for circuit in components)
             if not components:
                 raise ValueError("component list has no circuits")
             label = {}
@@ -148,7 +150,7 @@ def phi(word, dissection):
     rejected before it is built.  The blocks come from the codes the
     dissection stored when built, so no curve name is looked up here.
     """
-    syllables = parse_syllables(word) if isinstance(word, str) else list(word)
+    syllables = parse_syllables(word) if isinstance(word, str) else word
     blocks = []
     for name, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
         seq = dissection._crossing_codes.get(name)
@@ -281,7 +283,8 @@ class SurfaceDepthReport(NamedTuple):
 
 def surface_depth_check(word, dissection):
     """Check that 4 x (written surface length) bounds the image's depth."""
-    syllables = parse_syllables(word) if isinstance(word, str) else list(word)
+    syllables = parse_syllables(word) if isinstance(word, str) else list(
+        check_pairs(word, "syllable {!r} is not a (name, exponent) pair"))
     if not check_relator(dissection):
         raise ValueError("dissection fails the relator consistency check")
     image = phi(syllables, dissection).reduced()  # checks each exponent

@@ -143,21 +143,25 @@ def test_verify_passes(tmp_path, capsys):
 
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     # Exit 1 is the CLI's "a verification failed": an lcs_depth that read
-    # every element of [F2, F2] deeper than its norm makes each a violation,
-    # whether as an exact depth or as the at_least bound that lcs_depth
-    # returns when its search, which stops at the norm, finds nothing.
-    # An unreached depth is in no cell, but still counted in checked=.
-    for result, depth_text, norm4_cells in (
-            (DepthResult.exact, "depth=5", ["norm=4 depth=1 count=100", "norm=4 depth=5 count=8"]),
-            (DepthResult.at_least, "depth>=5", ["norm=4 depth=1 count=100"])):
+    # every element it is asked about deeper than its norm makes each a
+    # violation, whether as an exact depth or as the at_least bound that
+    # lcs_depth returns when its search, which stops at the norm, finds
+    # nothing.  Only the elements of gamma_3 are asked, the first of them at
+    # norm 8; the depths 1 and 2 are counted.  An unreached depth is in no
+    # cell, but still counted in checked=.
+    for result, depth_text, norm8_cells in (
+            (DepthResult.exact, "depth=9", ["norm=8 depth=1 count=8436", "norm=8 depth=2 count=248",
+                                            "norm=8 depth=9 count=64"]),
+            (DepthResult.at_least, "depth>=9", ["norm=8 depth=1 count=8436",
+                                                "norm=8 depth=2 count=248"])):
         monkeypatch.setattr(lab, "lcs_depth", lambda word: result(word.norm() + 1))
-        assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "4"]) == 1
+        assert run(["verify", "--graph", f2_file(tmp_path), "--max-norm", "8"]) == 1
         lines = capsys.readouterr().out.splitlines()
         violations = [line for line in lines if line.startswith("VIOLATION: ")]
-        assert len(violations) == 8  # the commutators [a^+-1, b^+-1] and [b^+-1, a^+-1]
-        assert violations[0] == f"VIOLATION: word=a^-1 b^-1 a b norm=4 {depth_text}"
-        assert [line for line in lines if line.startswith("norm=4 ")] == norm4_cells
-        assert "checked=160 max_norm=4" in lines
+        assert len(violations) == 64
+        assert violations[0] == f"VIOLATION: word=a^-2 b^-1 a b^2 a b^-1 norm=8 {depth_text}"
+        assert [line for line in lines if line.startswith("norm=8 ")] == norm8_cells
+        assert "checked=13120 max_norm=8" in lines
         assert lines[-1] == "FAIL"
 
 

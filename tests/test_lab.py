@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,10 +124,14 @@ def test_budget_admits_documented_runs():
 
 
 def test_budget_rejects_before_generating(monkeypatch):
-    def unreachable(graph, norm, derived=False):
+    def unreachable(graph, norm, level=0):
         raise AssertionError("a sphere was generated")
 
+    def uncounted(*state):
+        raise AssertionError("a sphere was counted")
+
     monkeypatch.setattr(lab, "_sphere", unreachable)
+    monkeypatch.setattr(lab, "_derived_size", uncounted)
     for search in (enumerate_elements, verify_depth_bound,
                    lambda graph, n: depth_function(graph, 3, n)):
         with pytest.raises(ValueError, match=f"more than {lab.MAX_BALL_ELEMENTS} elements"):
@@ -272,15 +278,24 @@ def test_verify_walks_only_the_derived_tree(monkeypatch):
     sphere = lab._sphere
     walked = []
 
-    def recording(graph, norm, derived=False):
-        walked.append((norm, derived))
-        return sphere(graph, norm, derived)
+    def recording(graph, norm, level=0):
+        walked.append((norm, level))
+        return sphere(graph, norm, level)
 
     monkeypatch.setattr(lab, "_sphere", recording)
     report = verify_depth_bound(c4(), 6)
-    assert walked == [(n, True) for n in range(1, 7)]
+    # norms 1, 2, 3 and 5 hold no element of [G, G], counted without a walk
+    assert walked == [(4, 2), (6, 2)]
     assert report.checked == 11664
     assert sum(c for (_, d), c in report.cells.items() if d > 1) == 96
+
+
+def test_verify_free_group_norm_eight_cells():
+    lines = verify_depth_bound(f2(), 8).lines()
+    for line in ("norm=6 depth=2 count=40", "norm=8 depth=2 count=248",
+                 "norm=8 depth=3 count=64", "checked=13120 max_norm=8"):
+        assert line in lines
+    assert lines[-1] == "PASS"
 
 
 def test_verify_counted_reports():
@@ -344,20 +359,47 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
     assert report.cells == cells
     assert [(w.syllables, n, d) for w, n, d in report.violations] == violations
 
-    # the pruned walk against the elements whose image, built from scratch,
-    # has no degree-1 part: the elements of [G, G], in the same order
+    # the pruned walks against the elements whose image, built from scratch,
+    # has no part of degree 1 (level 1: [G, G]) or of degree <= 2 (level 2:
+    # gamma_3), in the same order; the count against the level-1 walk
     for norm in range(1, max_norm + 1):
-        derived = [codes for codes in lab._sphere(graph, norm)
-                   if not any(t.length == 1 for t in mu(GroupWord._trusted(graph, codes), 2).terms)]
-        assert list(lab._sphere(graph, norm, True)) == derived
+        low = {codes: {t.length for t in mu(GroupWord._trusted(graph, codes), 3).terms}
+               for codes in lab._sphere(graph, norm)}
+        derived = [codes for codes, degrees in low.items() if 1 not in degrees]
+        assert list(lab._sphere(graph, norm, 1)) == derived
+        assert list(lab._sphere(graph, norm, 2)) == [codes for codes in derived
+                                                     if 2 not in low[codes]]
+        assert lab._derived_size(graph.masks, 0, norm, {}, 0, {}) == len(derived)
+
+
+def labelled_graphs(max_vertices):
+    """Every graph on the vertices a, b, ... of each size from 1 to max_vertices."""
+    for n in range(1, max_vertices + 1):
+        names = "abcd"[:n]
+        pairs = list(combinations(names, 2))
+        for chosen in range(2 ** len(pairs)):
+            yield Graph(names, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
+
+
+def test_walk_levels_and_count_exact_on_small_graphs():
+    graphs = list(labelled_graphs(4))
+    assert len(graphs) == 75
+    for graph in graphs:
+        for norm in range(1, 9 if len(graph.vertices) <= 2 else 7):
+            derived = list(lab._sphere(graph, norm, 1))
+            assert list(lab._sphere(graph, norm, 2)) == [
+                codes for codes in derived
+                if in_dimension_subgroup(GroupWord._trusted(graph, codes, True), 3)]
+            assert lab._derived_size(graph.masks, 0, norm, {}, 0, {}) == len(derived)
 
 
 def test_derived_walk_is_empty_at_odd_norms():
     # An element of [G, G] has every exponent sum 0, so its norm is even.
     for graph in (f2(), p3(), c4(), k3_minus_edge()):
         for norm in (1, 3, 5, 7):
-            assert list(lab._sphere(graph, norm, True)) == []
-        assert list(lab._sphere(graph, 4, True))
+            assert list(lab._sphere(graph, norm, 1)) == []
+            assert list(lab._sphere(graph, norm, 2)) == []
+        assert list(lab._sphere(graph, 4, 1))
 
 
 def exponent_sums_vanish(word):
@@ -380,10 +422,16 @@ def test_kernel_asked_only_about_zero_exponent_sums(monkeypatch):
     for name in asked:
         monkeypatch.setattr(lab, name, counting(name))
 
-    row = depth_function(f2(), 3, 8)
+    row = depth_function(f2(), 2, 8)
     zero = [w.syllables for w in enumerate_elements(f2(), 8) if exponent_sums_vanish(w)]
     assert asked["in_dimension_subgroup"] == zero[:zero.index(row.minimal_witness.syllables) + 1]
 
-    verify_depth_bound(c4(), 6)
-    assert asked["lcs_depth"] == [w.syllables for w in enumerate_elements(c4(), 6)
-                                  if exponent_sums_vanish(w)]
+    # for k >= 3 the walk yields gamma_3 alone: the first element asked is the hit
+    asked["in_dimension_subgroup"].clear()
+    row = depth_function(f2(), 3, 8)
+    assert asked["in_dimension_subgroup"] == [row.minimal_witness.syllables]
+
+    verify_depth_bound(f2(), 8)
+    assert asked["lcs_depth"] == [w.syllables for w in enumerate_elements(f2(), 8)
+                                  if exponent_sums_vanish(w) and in_dimension_subgroup(w, 3)]
+    assert len(asked["lcs_depth"]) == 64

@@ -67,6 +67,12 @@ def test_crossing_entry_not_a_pair_rejected(entry):
     assert str(err.value) == f"'a1' entry {entry!r} is not a (curve, sign) pair"
 
 
+def test_component_entry_not_a_pair_rejected():
+    with pytest.raises(ValueError) as err:
+        Dissection(1, ["x"], (), {"a1": (("x", 1),), "b1": ()}, components=[[1]])
+    assert str(err.value) == "component entry 1 is not an (edge id, curve) pair"
+
+
 def test_component_validation():
     with pytest.raises(ValueError, match="more than twice"):
         tiny_dissection(components=[[("e1", "x"), ("e1", "x"), ("e1", "x")]])
@@ -184,6 +190,14 @@ def test_phi_rejects_a_syllable_not_a_pair(syllable):
         with pytest.raises(ValueError) as err:
             call([("b1", 1), syllable], d)
         assert str(err.value) == f"syllable {syllable!r} is not a (name, exponent) pair"
+
+
+def test_phi_rejects_a_word_that_is_not_iterable():
+    d = standard_dissection(2)
+    for call in (phi, surface_depth_check):
+        with pytest.raises(ValueError) as err:
+            call(5, d)
+        assert str(err.value) == "syllable 5 is not a (name, exponent) pair"
 
 
 def test_phi_is_homomorphism():

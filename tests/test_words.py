@@ -286,6 +286,12 @@ def test_syllable_not_a_pair_rejected(syllables):
     assert str(err.value) == f"syllable {bad!r} is not a (name, exponent) pair"
 
 
+def test_unhashable_generator_name_rejected():
+    with pytest.raises(ValueError) as err:
+        GroupWord(f2(), [(["a"], 1)])
+    assert str(err.value) == "unknown vertex ['a']"
+
+
 def test_parse_word_validates_generators():
     with pytest.raises(ValueError, match="unknown vertex"):
         parse_word("a x", f2())
