@@ -13,6 +13,15 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 MAX_VERTICES = 20_000
 
 
+def check_iterable(items, message):
+    """tuple(items); ValueError(message.format(items)) when items is not iterable."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise ValueError(message.format(items)) from None
+    return tuple(items)
+
+
 def check_pairs(items, message):
     """Yield each item as a pair; ValueError(message.format(item)) on one that is not."""
     item = items  # named when `items` itself is not iterable
@@ -38,7 +47,7 @@ class Graph:
     __slots__ = ("vertices", "edges", "masks", "_index", "_hash")
 
     def __init__(self, vertices, edges=()):
-        vertices = tuple(vertices)
+        vertices = check_iterable(vertices, "vertices {!r} are not a sequence of names")
         if len(vertices) > MAX_VERTICES:
             raise ValueError(f"graph has {len(vertices)} vertices, more than {MAX_VERTICES}")
         index = {}

@@ -30,24 +30,28 @@ nonzero sum: the pruned walks below never place it.
 The walk has a level.  Level 0, the full walk, yields every element and
 keeps no sums.  Level 1 yields only the elements of [G, G] = gamma_2, the
 kernel of abelianisation.  Its stack entries carry the prefix's exponent
-sum per generator and ab_norm, the sum of their absolute values, and it
-skips a child whose ab_norm is above the norm left to spend.  That is
-exact: a syllable s^e moves ab_norm by at most |e|, the exponents still to
-come add up to the norm left, so no element below such a prefix has
-ab_norm 0.  Only the exponents that pass are tried, a range per generator.
+sums, a dict of the nonzero ones, and it skips a child whose sums have an
+absolute total above the norm left to spend.  That is exact: a syllable
+s^e moves the total by at most |e|, the exponents still to come add up to
+the norm left, so no element below such a prefix has every sum 0.  The
+total is read from the sums, and only the exponents that pass are tried,
+a range per generator.
 Level 2 yields only the elements of gamma_3.  For w in [G, G], the
 degree-2 part of its Magnus image is the sum of c_hk [h, k] over the
 non-adjacent pairs h < k, where c_hk is the sum of e_i e_j over
 h-syllables i before k-syllables j (Duchamp-Krob 1992), so w is in gamma_3
-iff every c_hk is 0.  Level 2 carries q_hk = c_hk - s_h s_k, s the
+iff every c_hk is 0.  Level 2 also carries q_hk = c_hk - s_h s_k, s the
 exponent sums, as a dict of its nonzero entries: appending g^e leaves
 c_hg - s_h s_g unchanged and moves only q_gk, by -e s_k, for each k > g
 not adjacent to g.  A suffix v of norm L turns q_hk into q_hk + c_hk(v)
 when the word ends with every sum 0, and |c_hk(v)| <= n_h(v) n_k(v) <=
 floor(L^2 / 4), n_h(v) the norm v spends on h.  So level 2 skips a child
 with some |q_hk| above floor(rest^2 / 4), exactly; at a leaf the bound is
-0 and q = c.  Every level yields its elements in the order of the full
-walk.
+0 and q = c.  A stack entry at level >= 1 holds only the walk's state:
+forbidden, the norm left, the exponent sums and, at level 2, q, each
+child with its own sums and q, so the walk and the count below take the
+same step over the same state.  Every level yields its elements in the
+order of the full walk.
 
 `depth_function(graph, k, n)` walks at level min(k - 1, 2): gamma_k lies
 inside gamma_2 and, for k >= 3, inside gamma_3, so its first hit and
@@ -167,29 +171,27 @@ def _syllables(masks, forbidden, tried):
         yield g, after, after == dead
 
 
-def _steps(masks, forbidden, left, sums, ab_norm):
-    """The children of a level-1 state, as (g, e, after, rest, moved): the
-    syllable g^e, the state after it, the norm left and the child's
-    ab_norm, in descending (g, e) order.  Only the children whose ab_norm
-    is at most the norm left come out (module docstring), and only they
-    are tried.
+def _steps(masks, forbidden, left, sums):
+    """The children of a level-1 state, as (g, e, after, rest): the
+    syllable g^e, the state after it and the norm left, in descending
+    (g, e) order.  Only the children whose exponent sums have an absolute
+    total of at most the norm left come out (module docstring), and only
+    they are tried.
 
-    With c the prefix's sum on g, g^e moves ab_norm by |c + e| - |c|, so
+    With c the prefix's sum on g, g^e moves that total by |c + e| - |c|, so
     they are the e of sign opposite to c with |e| <= half + |c|, and the
-    others with |e| <= half, half being floor((left - ab_norm) / 2).  An
-    admitted state has |c| <= ab_norm <= left, so |e| <= left holds
-    already.
+    others with |e| <= half, half being floor((left - total) / 2).  An
+    admitted state has |c| <= total <= left, so |e| <= left holds already.
     """
-    half = (left - ab_norm) // 2
+    half = (left - sum(map(abs, sums.values()))) // 2
     # with no slack, a child must bring some exponent sum towards 0
     tried = -1 if half else sum(1 << k for k in sums)
     for g, after, last in _syllables(masks, forbidden, tried):
         if last:  # g is central, so placed at most once: its sum cannot return to 0
             continue
         c = sums.get(g, 0)
-        others = ab_norm - abs(c)
         for e in (*range(half - min(c, 0), 0, -1), *range(-1, -half - max(c, 0) - 1, -1)):
-            yield g, e, after, left - abs(e), others + abs(c + e)
+            yield g, e, after, left - abs(e)
 
 
 def _added(sums, g, e):
@@ -205,17 +207,17 @@ def _sphere(graph, norm, level=0):
     order.  Level 0 yields every element, level 1 those of [G, G] and
     level 2 those of gamma_3, each by an exact prune (module docstring).
     An element of [G, G] has every exponent sum 0, so an even norm: levels
-    >= 1 walk nothing at odd norms.
+    >= 1 walk nothing at odd norms.  There each child of `_steps` that
+    passes is pushed with its own sums, by `_added`, and at level 2 its own
+    q, its moved pairs and largest |q_hk| computed afresh.
     """
     if level and norm % 2:
         return
     masks = graph.masks
-    # (prefix, forbidden, norm left, the parent's exponent sums, the
-    # prefix's q, the prefix's ab_norm); levels >= 1 add the last syllable
-    # to the sums only when the entry is popped, so a leaf never copies them.
-    stack = [((), 0, norm, {}, {}, 0)]
+    # (prefix, forbidden, norm left, the prefix's exponent sums, its q); level 0 keeps {}
+    stack = [((), 0, norm, {}, {})]
     while stack:
-        codes, forbidden, left, sums, q, ab_norm = stack.pop()
+        codes, forbidden, left, sums, q = stack.pop()
         if not left:
             yield codes
             continue
@@ -229,33 +231,25 @@ def _sphere(graph, norm, level=0):
                         exponents = [*range(left, 0, -1), *range(-1, -left - 1, -1)]
                     ends = exponents
                 for e in ends:
-                    stack.append((codes + ((g, e),), after, left - abs(e), sums, q, 0))
+                    stack.append((codes + ((g, e),), after, left - abs(e), sums, q))
             continue
-        if codes:  # shared with the siblings: copy before adding the last syllable
-            sums = _added(sums, *codes[-1])
-        if level == 2:
-            top = max(map(abs, q.values()), default=0)
-            row_of = None
-        for g, e, after, rest, moved in _steps(masks, forbidden, left, sums, ab_norm):
+        for g, e, after, rest in _steps(masks, forbidden, left, sums):
             pairs = q
             if level == 2:
-                if g != row_of:  # the pairs (g, k) that g's syllables move
-                    row_of = g
-                    row = [(k, s) for k, s in sums.items() if k > g and not masks[g] >> k & 1]
-                if row:
-                    pairs = {**q}
-                    for k, s in row:
+                pairs = {**q}
+                for k, s in sums.items():  # the pairs (g, k) that g^e moves
+                    if k > g and not masks[g] >> k & 1:
                         v = pairs.pop((g, k), 0) - e * s
                         if v:
                             pairs[(g, k)] = v
-                if (max(map(abs, pairs.values()), default=0) if row else top) > rest * rest >> 2:
+                if max(map(abs, pairs.values()), default=0) > rest * rest >> 2:
                     continue  # no suffix of norm rest can bring some q_hk back to 0
-            stack.append((codes + ((g, e),), after, rest, sums, pairs, moved))
+            stack.append((codes + ((g, e),), after, rest, _added(sums, g, e), pairs))
 
 
-def _derived_size(masks, forbidden, left, sums, ab_norm, memo):
+def _derived_size(masks, forbidden, left, sums, memo):
     """How many leaves of the level-1 walk lie below a state: with the root
-    state (0, n, {}, 0), the size of [G, G] in the sphere of norm n.
+    state (0, n, {}), the size of [G, G] in the sphere of norm n.
 
     A recursion over the walk state (forbidden, norm left, exponent sums),
     which fixes everything below it, by the walk's own child rule
@@ -263,7 +257,7 @@ def _derived_size(masks, forbidden, left, sums, ab_norm, memo):
     by that state; one memo serves all the spheres of a search.
     """
     found = 0
-    for g, e, after, rest, moved in _steps(masks, forbidden, left, sums, ab_norm):
+    for g, e, after, rest in _steps(masks, forbidden, left, sums):
         if not rest:
             found += 1
             continue
@@ -271,7 +265,7 @@ def _derived_size(masks, forbidden, left, sums, ab_norm, memo):
         key = (after, rest, frozenset(child.items()))
         size = memo.get(key)
         if size is None:
-            size = memo[key] = _derived_size(masks, after, rest, child, moved, memo)
+            size = memo[key] = _derived_size(masks, after, rest, child, memo)
         found += size
     return found
 
@@ -392,7 +386,7 @@ def verify_depth_bound(graph, max_norm):
     violations = []
     memo = {}
     for n in range(1, len(spheres)):
-        derived = _derived_size(graph.masks, 0, n, {}, 0, memo) if n % 2 == 0 else 0
+        derived = _derived_size(graph.masks, 0, n, {}, memo) if n % 2 == 0 else 0
         inside = 0
         if derived:
             for codes in _sphere(graph, n, 2):

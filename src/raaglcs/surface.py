@@ -14,14 +14,23 @@ one reduction, which checks them at every genus.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .graph import Graph, _keyed_lines, _pairs, check_pairs
+from .graph import Graph, _keyed_lines, _pairs, check_iterable, check_pairs
 from .magnus import lcs_depth
 from .words import (MAX_WORD_SYLLABLES, GroupWord, check_exponent, check_int,
                     check_word_size, parse_syllables)
+
+
+def _curve(graph, curve, where):
+    """The index of `curve` in the curve graph; ValueError on an undeclared one."""
+    try:
+        return graph.index(curve)
+    except ValueError:
+        raise ValueError(f"{where} names undeclared curve {curve!r}") from None
 
 
 def _handles(genus):
@@ -54,6 +63,9 @@ class Dissection:
                  components=None):
         check_int(genus, 1, "genus must be a positive integer, got {!r}")
         graph = Graph(curves, intersections)
+        if not isinstance(crossing_sequences, Mapping):
+            raise ValueError("crossing sequences must be a mapping from generator names, "
+                             f"got {crossing_sequences!r}")
         if (len(crossing_sequences) != 2 * genus  # before building 2g names
                 or set(crossing_sequences) != {n for h in _handles(genus) for n in h}):
             raise ValueError(
@@ -62,20 +74,20 @@ class Dissection:
         sequences, codes = {}, {}  # codes: each sequence as (vertex index, sign) pairs
         for name, seq in crossing_sequences.items():
             entries = tuple(check_pairs(seq, f"{name!r} entry {{!r}} is not a (curve, sign) pair"))
+            code = []
             for curve, sign in entries:
-                if curve not in graph._index:
-                    raise ValueError(
-                        f"crossing sequence of {name!r} names undeclared curve {curve!r}")
+                code.append((_curve(graph, curve, f"crossing sequence of {name!r}"), sign))
                 if type(sign) is not int or sign not in (1, -1):
                     raise ValueError(
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
             sequences[name] = entries
-            codes[name] = tuple((graph._index[curve], sign) for curve, sign in entries)
+            codes[name] = tuple(code)
         if components is not None:
             components = tuple(
                 tuple((str(e), c) for e, c in check_pairs(
                     circuit, "component entry {!r} is not an (edge id, curve) pair"))
-                for circuit in components)
+                for circuit in check_iterable(components, "components {!r} are not a "
+                                              "sequence of circuits"))
             if not components:
                 raise ValueError("component list has no circuits")
             label = {}
@@ -88,9 +100,7 @@ class Dissection:
                         raise ValueError("empty edge id in component circuit")
                     if ":" in edge or edge.split() != [edge]:  # the text format splits on both
                         raise ValueError(f"edge id {edge!r} has whitespace or ':'")
-                    if curve not in graph._index:
-                        raise ValueError(
-                            f"component circuit names undeclared curve {curve!r}")
+                    _curve(graph, curve, "component circuit")
                     if label.setdefault(edge, curve) != curve:
                         raise ValueError(
                             f"edge {edge!r} labelled with both {label[edge]!r} and {curve!r}")
@@ -153,7 +163,7 @@ def phi(word, dissection):
     syllables = parse_syllables(word) if isinstance(word, str) else word
     blocks = []
     for name, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
-        seq = dissection._crossing_codes.get(name)
+        seq = dissection._crossing_codes.get(name) if isinstance(name, str) else None
         if seq is None:
             raise ValueError(f"unknown surface generator {name!r}")
         check_exponent(name, exp)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .graph import check_pairs
+from .graph import check_iterable, check_pairs
 
 
 class GroupWord:
@@ -189,6 +189,7 @@ class Trace:
 
     def __init__(self, graph, letters=()):
         masks, w, key = graph.masks, letter_bits(graph), 1
+        letters = check_iterable(letters, "letters {!r} are not a sequence of vertex names")
         for s in [graph.index(a) for a in letters]:
             key = insert_packed(key, s, s, w, masks[s], w)
         self.graph, self.key = graph, key

@@ -141,6 +141,17 @@ def test_verify_passes(tmp_path, capsys):
     assert lines[-1] == "PASS"
 
 
+def test_verify_wide_edgeless_graph(tmp_path, capsys):
+    # 200 generators: at norm 2 a child with no slack left must bring some
+    # exponent sum back to 0, and no element lies in [G, G]
+    names = " ".join(f"x{i}" for i in range(200))
+    path = graph_file(tmp_path, f"vertices: {names}\n")
+    assert run(["verify", "--graph", path, "--max-norm", "2"]) == 0
+    assert capsys.readouterr().out == ("norm=1 depth=1 count=400\n"
+                                       "norm=2 depth=1 count=159600\n"
+                                       "checked=160000 max_norm=2\nPASS\n")
+
+
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     # Exit 1 is the CLI's "a verification failed": an lcs_depth that read
     # every element it is asked about deeper than its norm makes each a

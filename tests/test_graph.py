@@ -52,6 +52,12 @@ def test_edge_not_a_pair_rejected(edge):
     assert str(err.value) == f"edge {edge!r} is not a pair of vertex names"
 
 
+def test_vertices_not_iterable_rejected():
+    with pytest.raises(ValueError) as err:
+        Graph(5)
+    assert str(err.value) == "vertices 5 are not a sequence of names"
+
+
 @pytest.mark.parametrize("name", ["", "a-b", "a b", "a,b", 7])
 def test_bad_vertex_name_rejected(name):
     with pytest.raises(ValueError):

@@ -369,7 +369,7 @@ def test_carried_images_match_from_scratch(rng, k, max_norm):
         assert list(lab._sphere(graph, norm, 1)) == derived
         assert list(lab._sphere(graph, norm, 2)) == [codes for codes in derived
                                                      if 2 not in low[codes]]
-        assert lab._derived_size(graph.masks, 0, norm, {}, 0, {}) == len(derived)
+        assert lab._derived_size(graph.masks, 0, norm, {}, {}) == len(derived)
 
 
 def labelled_graphs(max_vertices):
@@ -390,7 +390,20 @@ def test_walk_levels_and_count_exact_on_small_graphs():
             assert list(lab._sphere(graph, norm, 2)) == [
                 codes for codes in derived
                 if in_dimension_subgroup(GroupWord._trusted(graph, codes, True), 3)]
-            assert lab._derived_size(graph.masks, 0, norm, {}, 0, {}) == len(derived)
+            assert lab._derived_size(graph.masks, 0, norm, {}, {}) == len(derived)
+    # 8 vertices, edgeless and a path: a state with no slack tries only the
+    # generators with a nonzero sum, so level 1 against the full walk
+    # filtered by zero exponent sums
+    names = [f"v{i}" for i in range(8)]
+    for graph in (Graph(names), Graph(names, list(zip(names, names[1:])))):
+        derived = list(lab._sphere(graph, 4, 1))
+        assert derived == [codes for codes in lab._sphere(graph, 4)
+                           if exponent_sums_vanish(GroupWord._trusted(graph, codes, True))]
+        assert len(derived) > 100
+        assert list(lab._sphere(graph, 4, 2)) == [
+            codes for codes in derived
+            if in_dimension_subgroup(GroupWord._trusted(graph, codes, True), 3)]
+        assert lab._derived_size(graph.masks, 0, 4, {}, {}) == len(derived)
 
 
 def test_derived_walk_is_empty_at_odd_norms():

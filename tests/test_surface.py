@@ -67,6 +67,29 @@ def test_crossing_entry_not_a_pair_rejected(entry):
     assert str(err.value) == f"'a1' entry {entry!r} is not a (curve, sign) pair"
 
 
+def test_crossing_sequences_not_a_mapping_rejected():
+    for sequences in (5, ["a1", "b1"]):
+        with pytest.raises(ValueError) as err:
+            Dissection(1, ["x"], (), sequences)
+        assert str(err.value) == ("crossing sequences must be a mapping from generator "
+                                  f"names, got {sequences!r}")
+
+
+def test_unhashable_curve_is_undeclared():
+    with pytest.raises(ValueError) as err:
+        tiny_dissection(sequences={"a1": ((["x"], 1),), "b1": ()})
+    assert str(err.value) == "crossing sequence of 'a1' names undeclared curve ['x']"
+    with pytest.raises(ValueError) as err:
+        tiny_dissection(components=[[("e1", ["x"])]])
+    assert str(err.value) == "component circuit names undeclared curve ['x']"
+
+
+def test_components_not_iterable_rejected():
+    with pytest.raises(ValueError) as err:
+        tiny_dissection(components=5)
+    assert str(err.value) == "components 5 are not a sequence of circuits"
+
+
 def test_component_entry_not_a_pair_rejected():
     with pytest.raises(ValueError) as err:
         Dissection(1, ["x"], (), {"a1": (("x", 1),), "b1": ()}, components=[[1]])
@@ -190,6 +213,14 @@ def test_phi_rejects_a_syllable_not_a_pair(syllable):
         with pytest.raises(ValueError) as err:
             call([("b1", 1), syllable], d)
         assert str(err.value) == f"syllable {syllable!r} is not a (name, exponent) pair"
+
+
+def test_phi_rejects_an_unhashable_generator_name():
+    d = standard_dissection(2)
+    for call in (phi, surface_depth_check):
+        with pytest.raises(ValueError) as err:
+            call([(["a1"], 1)], d)
+        assert str(err.value) == "unknown surface generator ['a1']"
 
 
 def test_phi_rejects_a_word_that_is_not_iterable():

@@ -226,6 +226,12 @@ def test_trace_keys_order_by_length_then_lex():
             sorted(traces, key=lambda t: (t.length, t.codes))
 
 
+def test_trace_letters_not_iterable_rejected():
+    with pytest.raises(ValueError) as err:
+        Trace(f2(), 5)
+    assert str(err.value) == "letters 5 are not a sequence of vertex names"
+
+
 def test_trace_printing_and_cross_graph_product():
     assert str(Trace(f2())) == "ε"
     trace = Trace(p3(), "cba")  # b commutes with c and goes before it; a does not
