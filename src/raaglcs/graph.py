@@ -13,6 +13,12 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 MAX_VERTICES = 20_000
 
 
+def check_type(value, kind, what):
+    """ValueError naming the type of `value` unless it is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def check_iterable(items, message):
     """tuple(items); ValueError(message.format(items)) when items is not iterable."""
     try:

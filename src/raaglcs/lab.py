@@ -29,27 +29,11 @@ nonzero sum: the pruned walks below never place it.
 
 The walk has a level.  Level 0, the full walk, yields every element and
 keeps no sums.  Level 1 yields only the elements of [G, G] = gamma_2, the
-kernel of abelianisation.  Its stack entries carry the prefix's exponent
-sums, a dict of the nonzero ones, and it skips a child whose sums have an
-absolute total above the norm left to spend.  That is exact: a syllable
-s^e moves the total by at most |e|, the exponents still to come add up to
-the norm left, so no element below such a prefix has every sum 0.  The
-total is read from the sums, and only the exponents that pass are tried,
-a range per generator.
-Level 2 yields only the elements of gamma_3.  For w in [G, G], the
-degree-2 part of its Magnus image is the sum of c_hk [h, k] over the
-non-adjacent pairs h < k, where c_hk is the sum of e_i e_j over
-h-syllables i before k-syllables j (Duchamp-Krob 1992), so w is in gamma_3
-iff every c_hk is 0.  Level 2 also carries q_hk = c_hk - s_h s_k, s the
-exponent sums, as a dict of its nonzero entries: appending g^e leaves
-c_hg - s_h s_g unchanged and moves only q_gk, by -e s_k, for each k > g
-not adjacent to g.  A suffix v of norm L turns q_hk into q_hk + c_hk(v)
-when the word ends with every sum 0, and |c_hk(v)| <= n_h(v) n_k(v) <=
-floor(L^2 / 4), n_h(v) the norm v spends on h.  So level 2 skips a child
-with some |q_hk| above floor(rest^2 / 4), exactly; at a leaf the bound is
-0 and q = c.  A stack entry at level >= 1 holds only the walk's state:
-forbidden, the norm left, the exponent sums and, at level 2, q, each
-child with its own sums and q, so the walk and the count below take the
+kernel of abelianisation, and level 2 only those of gamma_3.  A stack
+entry at level >= 1 holds only the walk's state: forbidden, the norm
+left, the prefix's exponent sums and, at level 2, its pair values q.  One
+child rule, `_steps`, admits each child of such a state by an exact prune
+and builds the child's state, so the walk and the count below take the
 same step over the same state.  Every level yields its elements in the
 order of the full walk.
 
@@ -80,6 +64,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
+from .graph import Graph, check_type
 from .magnus import in_dimension_subgroup, lcs_depth
 from .words import GroupWord, check_int, check_word_size, commutator
 
@@ -171,17 +156,35 @@ def _syllables(masks, forbidden, tried):
         yield g, after, after == dead
 
 
-def _steps(masks, forbidden, left, sums):
-    """The children of a level-1 state, as (g, e, after, rest): the
-    syllable g^e, the state after it and the norm left, in descending
-    (g, e) order.  Only the children whose exponent sums have an absolute
-    total of at most the norm left come out (module docstring), and only
-    they are tried.
+def _steps(masks, forbidden, left, sums, q):
+    """The children of a level-1 or level-2 state that can still end the
+    walk at its level, as (g, e, after, rest, sums, q): the syllable g^e
+    and the child's state, that is its automaton state, the norm left, its
+    exponent sums with no zero entry and its q (None at level 1, as
+    given).  They come in descending (g, e) order; the walk pushes each
+    one, and `_derived_size` counts below each.
 
-    With c the prefix's sum on g, g^e moves that total by |c + e| - |c|, so
-    they are the e of sign opposite to c with |e| <= half + |c|, and the
-    others with |e| <= half, half being floor((left - total) / 2).  An
-    admitted state has |c| <= total <= left, so |e| <= left holds already.
+    Level 1 admits a child whose sums have an absolute total of at most
+    the norm left.  That is exact: a syllable s^e moves the total by at
+    most |e|, the exponents still to come add up to the norm left, so no
+    element below a prefix over it has every sum 0.  Only the exponents
+    that pass are tried: with c the prefix's sum on g, g^e moves the total
+    by |c + e| - |c|, so they are the e of sign opposite to c with
+    |e| <= half + |c|, and the others with |e| <= half, half being
+    floor((left - total) / 2).  An admitted state has |c| <= total <= left,
+    so |e| <= left holds already.
+
+    Level 2 also bounds q.  For w in [G, G], the degree-2 part of its
+    Magnus image is the sum of c_hk [h, k] over the non-adjacent pairs
+    h < k, where c_hk is the sum of e_i e_j over h-syllables i before
+    k-syllables j (Duchamp-Krob 1992), so w is in gamma_3 iff every c_hk
+    is 0.  q holds the nonzero q_hk = c_hk - s_h s_k, s the exponent sums:
+    appending g^e leaves c_hg - s_h s_g unchanged and moves only q_gk, by
+    -e s_k, for each k > g not adjacent to g.  A suffix v of norm L turns
+    q_hk into q_hk + c_hk(v) when the word ends with every sum 0, and
+    |c_hk(v)| <= n_h(v) n_k(v) <= floor(L^2 / 4), n_h(v) the norm v spends
+    on h.  So level 2 admits a child only if every |q_hk| is at most
+    floor(rest^2 / 4), exactly; at a leaf the bound is 0 and q = c.
     """
     half = (left - sum(map(abs, sums.values()))) // 2
     # with no slack, a child must bring some exponent sum towards 0
@@ -191,31 +194,33 @@ def _steps(masks, forbidden, left, sums):
             continue
         c = sums.get(g, 0)
         for e in (*range(half - min(c, 0), 0, -1), *range(-1, -half - max(c, 0) - 1, -1)):
-            yield g, e, after, left - abs(e)
-
-
-def _added(sums, g, e):
-    """The exponent sums after a syllable g^e, with no zero entry."""
-    s = sums.get(g, 0) + e
-    if s:
-        return {**sums, g: s}
-    return {h: t for h, t in sums.items() if h != g}
+            rest = left - abs(e)
+            pairs = q
+            if q is not None:
+                pairs = {**q}
+                for k, s in sums.items():  # the pairs (g, k) that g^e moves
+                    if k > g and not masks[g] >> k & 1:
+                        v = pairs.pop((g, k), 0) - e * s
+                        if v:
+                            pairs[(g, k)] = v
+                if max(map(abs, pairs.values()), default=0) > rest * rest >> 2:
+                    continue  # no suffix of norm rest can bring some q_hk back to 0
+            child = {**sums, g: c + e} if c + e else {h: t for h, t in sums.items() if h != g}
+            yield g, e, after, rest, child, pairs
 
 
 def _sphere(graph, norm, level=0):
     """The canonical `GroupWord.codes` of norm exactly `norm` (>= 1), in lex
     order.  Level 0 yields every element, level 1 those of [G, G] and
-    level 2 those of gamma_3, each by an exact prune (module docstring).
-    An element of [G, G] has every exponent sum 0, so an even norm: levels
-    >= 1 walk nothing at odd norms.  There each child of `_steps` that
-    passes is pushed with its own sums, by `_added`, and at level 2 its own
-    q, its moved pairs and largest |q_hk| computed afresh.
+    level 2 those of gamma_3.  An element of [G, G] has every exponent sum
+    0, so an even norm: levels >= 1 walk nothing at odd norms, and
+    elsewhere push each child that `_steps` yields.
     """
     if level and norm % 2:
         return
     masks = graph.masks
-    # (prefix, forbidden, norm left, the prefix's exponent sums, its q); level 0 keeps {}
-    stack = [((), 0, norm, {}, {})]
+    # (prefix, forbidden, norm left, the prefix's exponent sums, its q or None)
+    stack = [((), 0, norm, {}, {} if level == 2 else None)]
     while stack:
         codes, forbidden, left, sums, q = stack.pop()
         if not left:
@@ -233,18 +238,8 @@ def _sphere(graph, norm, level=0):
                 for e in ends:
                     stack.append((codes + ((g, e),), after, left - abs(e), sums, q))
             continue
-        for g, e, after, rest in _steps(masks, forbidden, left, sums):
-            pairs = q
-            if level == 2:
-                pairs = {**q}
-                for k, s in sums.items():  # the pairs (g, k) that g^e moves
-                    if k > g and not masks[g] >> k & 1:
-                        v = pairs.pop((g, k), 0) - e * s
-                        if v:
-                            pairs[(g, k)] = v
-                if max(map(abs, pairs.values()), default=0) > rest * rest >> 2:
-                    continue  # no suffix of norm rest can bring some q_hk back to 0
-            stack.append((codes + ((g, e),), after, rest, _added(sums, g, e), pairs))
+        for g, e, after, rest, child, pairs in _steps(masks, forbidden, left, sums, q):
+            stack.append((codes + ((g, e),), after, rest, child, pairs))
 
 
 def _derived_size(masks, forbidden, left, sums, memo):
@@ -257,11 +252,10 @@ def _derived_size(masks, forbidden, left, sums, memo):
     by that state; one memo serves all the spheres of a search.
     """
     found = 0
-    for g, e, after, rest in _steps(masks, forbidden, left, sums):
+    for _, _, after, rest, child, _ in _steps(masks, forbidden, left, sums, None):
         if not rest:
             found += 1
             continue
-        child = _added(sums, g, e)
         key = (after, rest, frozenset(child.items()))
         size = memo.get(key)
         if size is None:
@@ -278,6 +272,7 @@ def enumerate_elements(graph, max_norm):
     canonicalized, deduplicated or sorted.  A ball of more than
     MAX_BALL_ELEMENTS elements raises ValueError before any is generated.
     """
+    check_type(graph, Graph, "graph")
     spheres = _ball(graph, max_norm)
     return [GroupWord._trusted(graph, codes, True) for norm in range(1, len(spheres))
             for codes in _sphere(graph, norm)]
@@ -306,6 +301,7 @@ def depth_function(graph, k, max_norm):
     [G, G], and for k >= 3 those outside gamma_3, both exactly (module
     docstring), so for k <= 3 the first element asked is the hit.
     """
+    check_type(graph, Graph, "graph")
     check_int(k, 1, "k must be >= 1")
     if k >= 2 and graph.is_complete():
         raise ValueError(
@@ -332,6 +328,7 @@ def commutator_witness(graph, k):
     about 2^k syllables, and a bracket that would pass MAX_WORD_SYLLABLES is
     refused before it is built.
     """
+    check_type(graph, Graph, "graph")
     check_int(k, 1, "k must be >= 1")
     pair = next(((u, v) for u, v in combinations(graph.vertices, 2)
                  if not graph.are_adjacent(u, v)), None)
@@ -381,6 +378,7 @@ def verify_depth_bound(graph, max_norm):
     an element it finds no depth for is a violation of depth None, counted
     in `checked` but in no cell.
     """
+    check_type(graph, Graph, "graph")
     spheres = _ball(graph, max_norm)
     cells = {}
     violations = []

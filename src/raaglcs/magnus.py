@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .graph import check_type
 from .series import _CAP_MESSAGE, TruncatedSeries
 from .words import GroupWord, Trace, check_int, insert_packed, letter_bits
 
@@ -226,6 +227,7 @@ def mu(word, cap):
     The sweep runs on `word.reduced()`, the same element, so a word equal to
     the identity is never refused: its image is 1.
     """
+    check_type(word, GroupWord, "word")
     check_int(cap, 1, _CAP_MESSAGE)
     graph = word.graph
     codes = word.reduced().codes
@@ -280,6 +282,7 @@ def lcs_depth(word, cap=None):
     bound.  A search that would do more than MAX_KERNEL_WORK units of
     kernel work in all raises ValueError.
     """
+    check_type(word, GroupWord, "word")
     if cap is not None:
         check_int(cap, 1, _CAP_MESSAGE)
     reduced = word.reduced()

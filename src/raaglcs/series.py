@@ -11,15 +11,14 @@ images (mu(u) * mu(v) == mu(u v)) and which perfbench traces.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, check_type
 from .words import Trace, _digits, check_int
 
 _CAP_MESSAGE = "cap must be a positive integer, got {!r}"
 
 
 def _check_trace(trace, graph, what):
-    if not isinstance(trace, Trace):
-        raise ValueError(f"{what} must be a Trace, got {type(trace).__name__}")
+    check_type(trace, Trace, what)
     if trace.graph != graph:
         raise ValueError(f"{what} lives over a different graph")
 
@@ -37,8 +36,7 @@ class TruncatedSeries:
     __slots__ = ("graph", "cap", "terms")
 
     def __init__(self, graph, cap, terms=()):
-        if not isinstance(graph, Graph):
-            raise ValueError(f"graph must be a Graph, got {type(graph).__name__}")
+        check_type(graph, Graph, "graph")
         check_int(cap, 1, _CAP_MESSAGE)
         try:
             items = terms.items() if isinstance(terms, dict) else [(t, c) for t, c in terms]

@@ -19,7 +19,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .graph import Graph, _keyed_lines, _pairs, check_iterable, check_pairs
+from .graph import Graph, _keyed_lines, _pairs, check_iterable, check_pairs, check_type
 from .magnus import lcs_depth
 from .words import (MAX_WORD_SYLLABLES, GroupWord, check_exponent, check_int,
                     check_word_size, parse_syllables)
@@ -160,6 +160,7 @@ def phi(word, dissection):
     rejected before it is built.  The blocks come from the codes the
     dissection stored when built, so no curve name is looked up here.
     """
+    check_type(dissection, Dissection, "dissection")
     syllables = parse_syllables(word) if isinstance(word, str) else word
     blocks = []
     for name, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
@@ -293,6 +294,7 @@ class SurfaceDepthReport(NamedTuple):
 
 def surface_depth_check(word, dissection):
     """Check that 4 x (written surface length) bounds the image's depth."""
+    check_type(dissection, Dissection, "dissection")
     syllables = parse_syllables(word) if isinstance(word, str) else list(
         check_pairs(word, "syllable {!r} is not a (name, exponent) pair"))
     if not check_relator(dissection):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .graph import check_iterable, check_pairs
+from .graph import Graph, check_iterable, check_pairs, check_type
 
 
 class GroupWord:
@@ -38,6 +38,7 @@ class GroupWord:
     __slots__ = ("graph", "codes", "_canonical")
 
     def __init__(self, graph, syllables=()):
+        check_type(graph, Graph, "graph")
         codes = []
         for gen, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
             g = graph.index(gen)
@@ -188,6 +189,7 @@ class Trace:
     __slots__ = ("graph", "key")
 
     def __init__(self, graph, letters=()):
+        check_type(graph, Graph, "graph")
         masks, w, key = graph.masks, letter_bits(graph), 1
         letters = check_iterable(letters, "letters {!r} are not a sequence of vertex names")
         for s in [graph.index(a) for a in letters]:

@@ -1,8 +1,9 @@
 """The package boundary: the public API is pinned, integer arguments are
-checked as ints, vertex names are read only where a word or trace is built
-from them, every name perfbench's tracer replaces still exists where the
-tracer looks, and the result records are immutable named tuples that the
-CLI imports without `dataclasses` or `inspect`."""
+checked as ints and graph, word and dissection arguments by type, vertex
+names are read only where a word or trace is built from them, every name
+perfbench's tracer replaces still exists where the tracer looks, and the
+result records are immutable named tuples that the CLI imports without
+`dataclasses` or `inspect`."""
 
 import importlib
 import importlib.util
@@ -49,6 +50,28 @@ def test_non_int_arguments_rejected(name, value):
     call, message = CALLS[name]
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+WRONG_TYPES = {
+    "GroupWord": (lambda: GroupWord(5), "graph must be a Graph, got int"),
+    "Trace": (lambda: Trace(5, ["a"]), "graph must be a Graph, got int"),
+    "enumerate_elements": (lambda: enumerate_elements(5, 2), "graph must be a Graph, got int"),
+    "depth_function": (lambda: depth_function(5, 2, 4), "graph must be a Graph, got int"),
+    "verify_depth_bound": (lambda: verify_depth_bound(5, 2), "graph must be a Graph, got int"),
+    "commutator_witness": (lambda: commutator_witness(5, 2), "graph must be a Graph, got int"),
+    "mu": (lambda: mu("a b", 3), "word must be a GroupWord, got str"),
+    "lcs_depth": (lambda: lcs_depth(5), "word must be a GroupWord, got int"),
+    "phi": (lambda: phi("a1", 5), "dissection must be a Dissection, got int"),
+    "surface_depth_check": (lambda: surface_depth_check("a1", f2()),
+                            "dissection must be a Dissection, got Graph"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_wrong_argument_types_rejected(name):
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def load_tracer():

@@ -116,6 +116,26 @@ def test_dfun_lower_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "d(2) = 4 (lower-bound)\n"
 
 
+def test_dfun_k4_asks_only_gamma_3(tmp_path, monkeypatch, capsys):
+    # for k >= 3 the walk yields gamma_3 alone: every element of it up to the
+    # norm bound is asked, 64 at norm 8 and 288 at norm 10, and none is in gamma_4
+    asked = []
+    real = lab.in_dimension_subgroup
+
+    def counting(word, k):
+        asked.append(word.codes)
+        return real(word, k)
+
+    monkeypatch.setattr(lab, "in_dimension_subgroup", counting)
+    assert run(["dfun", "--graph", f2_file(tmp_path), "--k", "4", "--max-norm", "10"]) == 0
+    assert capsys.readouterr().out == "d(4) = 11 (lower-bound)\n"
+    graph = Graph(["a", "b"])
+    gamma_3 = [list(lab._sphere(graph, norm, 2)) for norm in (8, 10)]
+    assert [len(codes) for codes in gamma_3] == [64, 288]
+    assert asked == gamma_3[0] + gamma_3[1]
+    assert all(real(raaglcs.GroupWord._trusted(graph, codes), 3) for codes in asked)
+
+
 def test_dfun_k_above_norm_bound_walks_nothing(tmp_path, capsys):
     # depth <= norm, so d(k) >= k: no element of norm <= 5 needs an image at cap 3000
     start = time.perf_counter()

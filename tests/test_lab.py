@@ -406,6 +406,39 @@ def test_walk_levels_and_count_exact_on_small_graphs():
         assert lab._derived_size(graph.masks, 0, 4, {}, {}) == len(derived)
 
 
+# (level-1 yields, pushes), (level-2 yields, pushes) per (graph, norm)
+WALK_PUSHES = {
+    ("F2", 8): ((312, 1440), (64, 596)),
+    ("F2", 10): ((2240, 10500), (288, 3720)),
+    ("C4", 6): ((80, 648), (0, 344)),
+    ("C4", 8): ((688, 5280), (128, 2888)),
+    ("P4", 6): ((248, 1308), (0, 548)),
+    ("P4", 8): ((3992, 19880), (256, 8132)),
+}
+
+
+def test_pruned_walk_pushes_are_pinned(monkeypatch):
+    # At levels >= 1 the walk pushes exactly the children `_steps` yields,
+    # so a looser prune, one that yields the same elements but admits more
+    # children (floor(rest^2 / 2) at level 2, say), fails here.
+    graphs = {"F2": f2(), "C4": c4(), "P4": Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])}
+    steps = lab._steps
+    pushed = []
+
+    def counting(*state):
+        for child in steps(*state):
+            pushed.append(child)
+            yield child
+
+    monkeypatch.setattr(lab, "_steps", counting)
+    for (name, norm), expected in WALK_PUSHES.items():
+        found = []
+        for level in (1, 2):
+            pushed.clear()
+            found.append((sum(1 for _ in lab._sphere(graphs[name], norm, level)), len(pushed)))
+        assert tuple(found) == expected, (name, norm)
+
+
 def test_derived_walk_is_empty_at_odd_norms():
     # An element of [G, G] has every exponent sum 0, so its norm is even.
     for graph in (f2(), p3(), c4(), k3_minus_edge()):
