@@ -9,6 +9,9 @@ All output is deterministic given the inputs.
 `run` may be called many times in one process: it builds its parser on the
 first call and reuses it, and it reuses the standard curve system of each
 `--genus` it has recently seen; a `--dissection` file is read on every call.
+A known command goes straight to its own subcommand parser; anything else
+(no arguments, `--help`, an unknown command or an option before it) goes
+through the whole tree, which prints the same help and usage errors.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    return _parser_tree()[0]
+
+
+def _parser_tree():
+    """The argument parser and its map from command name to subcommand parser."""
     parser = _Parser(
         prog="raaglcs",
         description="Lower central series depth in graph groups, with a "
@@ -112,13 +120,13 @@ def build_parser():
     _add_surface_source(p)
     p.add_argument("word")
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
 def _shared_parser():
     # Parsing leaves no state on the parser, so one tree serves every call.
-    return build_parser()
+    return _parser_tree()
 
 
 # Standard curve systems kept per process; a Dissection is immutable, and
@@ -229,8 +237,14 @@ def _dispatch(args):
 
 def run(argv=None):
     """Run one CLI invocation and return its exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _shared_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
     try:

@@ -71,7 +71,7 @@ class Dissection:
             raise ValueError(
                 f"crossing sequences must be given for exactly a1..a{genus}, "
                 f"b1..b{genus}")
-        sequences, codes = {}, {}  # codes: each sequence as (vertex index, sign) pairs
+        sequences, codes = {}, {}  # codes: (sequence, inverse), each as (index, sign) pairs
         for name, seq in crossing_sequences.items():
             entries = tuple(check_pairs(seq, f"{name!r} entry {{!r}} is not a (curve, sign) pair"))
             code = []
@@ -81,7 +81,7 @@ class Dissection:
                     raise ValueError(
                         f"crossing sign for {curve!r} in {name!r} must be +1 or -1")
             sequences[name] = entries
-            codes[name] = tuple(code)
+            codes[name] = (tuple(code), tuple((c, -s) for c, s in reversed(code)))
         if components is not None:
             components = tuple(
                 tuple((str(e), c) for e, c in check_pairs(
@@ -141,6 +141,7 @@ class Dissection:
 
 def intersection_graph(dissection):
     """Graph with the curves as vertices and the crossing pairs as edges."""
+    check_type(dissection, Dissection, "dissection")
     return dissection._graph
 
 
@@ -157,19 +158,32 @@ def phi(word, dissection):
     contributes the sequence reversed with negated signs; exponents repeat the
     block.  Accepts either raw (name, exponent) pairs, each exponent an int,
     or word-syntax text.  An image of more than MAX_WORD_SYLLABLES letters is
-    rejected before it is built.  The blocks come from the codes the
-    dissection stored when built, so no curve name is looked up here.
+    rejected before it is built.  The blocks and their inverses come from the
+    codes the dissection stored when built, so no curve name is looked up.
     """
     check_type(dissection, Dissection, "dissection")
-    syllables = parse_syllables(word) if isinstance(word, str) else word
-    blocks = []
-    for name, exp in check_pairs(syllables, "syllable {!r} is not a (name, exponent) pair"):
-        seq = dissection._crossing_codes.get(name) if isinstance(name, str) else None
-        if seq is None:
-            raise ValueError(f"unknown surface generator {name!r}")
+    return _image(_surface_syllables(word), dissection)
+
+
+def _surface_syllables(word):
+    """The syllables of a surface word, word-syntax text or raw pairs, each
+    pair and exponent checked once."""
+    if isinstance(word, str):
+        return parse_syllables(word)
+    syllables = list(check_pairs(word, "syllable {!r} is not a (name, exponent) pair"))
+    for name, exp in syllables:
         check_exponent(name, exp)
-        block = seq if exp > 0 else tuple((c, -s) for c, s in reversed(seq))
-        blocks.append((block, abs(exp)))
+    return syllables
+
+
+def _image(syllables, dissection):
+    """`phi` of syllables `_surface_syllables` read; only the names are checked."""
+    codes, blocks = dissection._crossing_codes, []
+    for name, exp in syllables:
+        both = codes.get(name) if isinstance(name, str) else None
+        if both is None:
+            raise ValueError(f"unknown surface generator {name!r}")
+        blocks.append((both[exp < 0], abs(exp)))
     check_word_size(sum(len(block) * count for block, count in blocks), "letters")
     letters = []
     for block, count in blocks:
@@ -179,6 +193,7 @@ def phi(word, dissection):
 
 def check_relator(dissection):
     """True iff the genus relator's image, reduced when built, is the identity."""
+    check_type(dissection, Dissection, "dissection")
     return dissection._relator_ok
 
 
@@ -249,6 +264,7 @@ def check_injectivity_criterion(dissection):
     those curves cross, the edges must sit next to each other somewhere in the
     cyclic circuit.  Reports the first violating pair per component.
     """
+    check_type(dissection, Dissection, "dissection")
     if dissection.components is None:
         raise ValueError("dissection has no component boundary data")
     checks = []
@@ -295,11 +311,10 @@ class SurfaceDepthReport(NamedTuple):
 def surface_depth_check(word, dissection):
     """Check that 4 x (written surface length) bounds the image's depth."""
     check_type(dissection, Dissection, "dissection")
-    syllables = parse_syllables(word) if isinstance(word, str) else list(
-        check_pairs(word, "syllable {!r} is not a (name, exponent) pair"))
+    syllables = _surface_syllables(word)
     if not check_relator(dissection):
         raise ValueError("dissection fails the relator consistency check")
-    image = phi(syllables, dissection).reduced()  # checks each exponent
+    image = _image(syllables, dissection).reduced()
     surface_length = sum(abs(e) for _, e in syllables)
     return SurfaceDepthReport(surface_length, image.norm(), lcs_depth(image).depth)
 
@@ -375,6 +390,7 @@ def load_dissection(path):
 
 def format_dissection(dissection):
     """Serialize a dissection in the text format read by parse_dissection."""
+    check_type(dissection, Dissection, "dissection")
     lines = [f"genus: {dissection.genus}",
              f"curves: {' '.join(dissection.curves)}"]
     if dissection.intersections:

@@ -2,10 +2,10 @@
 
 A word stores only its `codes`, each generator its vertex index, and a mark
 set when they are its canonical form; nothing else is cached.  A trace
-stores only its packed `key`.  Names are read once, with `Graph.index`,
-where one is built from names, and written only where one is printed or
-its `syllables` or `letters` are read; `magnus`, `lab` and `surface` work
-on codes and keys.
+stores only its packed `key`.  Names are read once, where one is built
+from names (with `Graph.index`, or in one pass by `parse_word`), and
+written only where one is printed or its `syllables` or `letters` are
+read; `magnus`, `lab` and `surface` work on codes and keys.
 
 Two words represent the same group element exactly when their canonical forms
 coincide: full reduction makes the word's syllable multiset unique up to swaps
@@ -108,6 +108,7 @@ class GroupWord:
 
     def equals(self, other):
         """True iff both words represent the same group element."""
+        check_type(other, GroupWord, "other")
         if self.graph != other.graph:
             raise ValueError("words live over different graphs")
         return self.canonical().codes == other.canonical().codes
@@ -171,6 +172,8 @@ def check_int(value, least, message):
 
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1."""
+    check_type(u, GroupWord, "u")
+    check_type(v, GroupWord, "v")
     return u * v * u.inverse() * v.inverse()
 
 
@@ -267,8 +270,9 @@ def insert_packed(key, s, run, shift, mask, w):
     return ((key >> after) << shift | run) << after | key & ((1 << after) - 1)
 
 
-# A bracket or comma, a syllable `gen` or `gen^E`, or any other non-space character.
-_TOKEN_RE = re.compile(r"([\[\],])|([A-Za-z0-9_]+)(?:\^([+-]?\d+))?|(\S)")
+# A syllable `gen` or `gen^E`, or any other non-space character: a bracket,
+# a comma or a stray character.
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^([+-]?\d+))?|(\S)")
 
 # Each commutator level doubles a word, so nesting depth alone can make the
 # expansion exponential; a parsed word may hold at most this many syllables,
@@ -285,52 +289,59 @@ def parse_syllables(text):
     commutator brackets `[w1,w2]`.  (A vertex literally named "1" cannot be
     referenced bare; `1^E` still parses as that generator.)  Brackets are
     expanded without recursion, and a word whose expansion would exceed
-    MAX_WORD_SYLLABLES syllables is rejected before it is built.
+    MAX_WORD_SYLLABLES syllables is rejected before it is built.  A stray
+    character is reported before any other error, looked for once one occurs.
     """
-    tokens = list(_TOKEN_RE.finditer(text))
-    for match in tokens:
-        if match[4]:  # lexed before the brackets, so this error comes first
-            raise ValueError(f"cannot parse word at {text[match.start():match.start() + 12]!r}")
-
+    check_type(text, str, "text")
     # One frame per open bracket: the enclosing syllables and the enclosing
     # bracket's left operand (None until its ',' is seen).
     frames = []
     current, left = [], None
-    for match in tokens:
-        token = match[0]
-        if token == "[":
-            frames.append((current, left))
-            current, left = [], None
-        elif token == ",":
-            if not frames:
-                raise ValueError("unexpected ',' in word")
-            if left is not None:
-                raise ValueError("expected ']' closing commutator brackets")
-            left, current = current, []
-        elif token == "]":
-            if not frames:
-                raise ValueError("unexpected ']' in word")
+    try:
+        for name, exp, other in _TOKEN_RE.findall(text):
+            if name:
+                if name == "1" and not exp:  # the identity
+                    continue
+                value = _digits(exp, "an exponent") if exp else 1
+                if not value:
+                    raise ValueError(f"zero exponent in {name + '^' + exp!r}")
+                current.append((name, value))
+                if len(current) > MAX_WORD_SYLLABLES:
+                    check_word_size(len(current))
+            elif other == "[":
+                frames.append((current, left))
+                current, left = [], None
+            elif other == ",":
+                if not frames:
+                    raise ValueError("unexpected ',' in word")
+                if left is not None:
+                    raise ValueError("expected ']' closing commutator brackets")
+                left, current = current, []
+            elif other == "]":
+                if not frames:
+                    raise ValueError("unexpected ']' in word")
+                if left is None:
+                    raise ValueError("expected ',' inside commutator brackets")
+                right = current
+                current, outer_left = frames.pop()
+                check_word_size(len(current) + 2 * (len(left) + len(right)))
+                current.extend(left)
+                current.extend(right)
+                current.extend((s, -e) for s, e in reversed(left))
+                current.extend((s, -e) for s, e in reversed(right))
+                left = outer_left
+            else:
+                raise ValueError  # a stray character, named below
+        if frames:
             if left is None:
                 raise ValueError("expected ',' inside commutator brackets")
-            right = current
-            current, outer_left = frames.pop()
-            check_word_size(len(current) + 2 * (len(left) + len(right)))
-            current.extend(left)
-            current.extend(right)
-            current.extend((s, -e) for s, e in reversed(left))
-            current.extend((s, -e) for s, e in reversed(right))
-            left = outer_left
-        elif token != "1":
-            name, exp = match[2], match[3]
-            value = _digits(exp, "an exponent") if exp else 1
-            if value == 0:
-                raise ValueError(f"zero exponent in {token!r}")
-            current.append((name, value))
-            check_word_size(len(current))
-    if frames:
-        if left is None:
-            raise ValueError("expected ',' inside commutator brackets")
-        raise ValueError("expected ']' closing commutator brackets")
+            raise ValueError("expected ']' closing commutator brackets")
+    except ValueError:
+        for match in _TOKEN_RE.finditer(text):  # a lexing error comes first
+            if match[3] and match[3] not in "[,]":
+                raise ValueError(f"cannot parse word at "
+                                 f"{text[match.start():match.start() + 12]!r}") from None
+        raise
     return current
 
 
@@ -341,5 +352,11 @@ def check_word_size(count, unit="syllables"):
 
 
 def parse_word(text, graph):
-    """Parse word syntax against a graph, validating generator names."""
-    return GroupWord(graph, parse_syllables(text))
+    """Parse word syntax against a graph: each name is read once, through
+    the graph's index, and the parsed exponents are not checked again."""
+    syllables = parse_syllables(text)
+    check_type(graph, Graph, "graph")
+    try:
+        return GroupWord._trusted(graph, tuple([(graph._index[n], e) for n, e in syllables]))
+    except KeyError as err:
+        raise ValueError(f"unknown vertex {err.args[0]!r}") from None

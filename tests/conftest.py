@@ -2,16 +2,19 @@
 check that a word is marked canonical, the brute-force swap-closure oracle
 used to pin canonical forms, Chiswell's growth series used to count
 enumerations, the generic series oracle for `mu`, the one-image reference
-for the degree sweep in `magnus`, and the Hypothesis profiles."""
+for the degree sweep in `magnus`, the match-by-match word parser that
+pins `parse_syllables`, and the Hypothesis profiles."""
 
 import gc
 import itertools
 import math
 import os
+import re
 
 from hypothesis import settings
 
 from raaglcs import Graph, GroupWord, Trace, TruncatedSeries
+from raaglcs.words import _digits, check_word_size
 
 # CI runs with HYPOTHESIS_PROFILE=ci, so a failing property prints the blob
 # that replays it with @reproduce_failure.
@@ -245,3 +248,55 @@ def generic_mu(word, cap):
     for s, e in word.syllables:
         out = out * binomial_factor(word.graph, s, e, cap)
     return out
+
+
+# A bracket or comma, a syllable `gen` or `gen^E`, or any other non-space character.
+ORACLE_TOKEN_RE = re.compile(r"([\[\],])|([A-Za-z0-9_]+)(?:\^([+-]?\d+))?|(\S)")
+
+
+def oracle_parse_syllables(text):
+    """The reference for `parse_syllables`: one match object per token, every
+    token lexed before the brackets are read, errors in the same order and
+    with the same messages."""
+    tokens = list(ORACLE_TOKEN_RE.finditer(text))
+    for match in tokens:
+        if match[4]:
+            raise ValueError(f"cannot parse word at {text[match.start():match.start() + 12]!r}")
+    frames = []
+    current, left = [], None
+    for match in tokens:
+        token = match[0]
+        if token == "[":
+            frames.append((current, left))
+            current, left = [], None
+        elif token == ",":
+            if not frames:
+                raise ValueError("unexpected ',' in word")
+            if left is not None:
+                raise ValueError("expected ']' closing commutator brackets")
+            left, current = current, []
+        elif token == "]":
+            if not frames:
+                raise ValueError("unexpected ']' in word")
+            if left is None:
+                raise ValueError("expected ',' inside commutator brackets")
+            right = current
+            current, outer_left = frames.pop()
+            check_word_size(len(current) + 2 * (len(left) + len(right)))
+            current.extend(left)
+            current.extend(right)
+            current.extend((s, -e) for s, e in reversed(left))
+            current.extend((s, -e) for s, e in reversed(right))
+            left = outer_left
+        elif token != "1":
+            name, exp = match[2], match[3]
+            value = _digits(exp, "an exponent") if exp else 1
+            if value == 0:
+                raise ValueError(f"zero exponent in {token!r}")
+            current.append((name, value))
+            check_word_size(len(current))
+    if frames:
+        if left is None:
+            raise ValueError("expected ',' inside commutator brackets")
+        raise ValueError("expected ']' closing commutator brackets")
+    return current

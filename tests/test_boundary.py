@@ -17,10 +17,11 @@ import pytest
 import raaglcs
 from conftest import c4, f2, random_graph, random_word
 from raaglcs import (Dissection, Graph, GroupWord, Trace, TruncatedSeries,
-                     check_injectivity_criterion, commutator_witness, depth_function,
-                     enumerate_elements, in_dimension_subgroup, lcs_depth, mu,
-                     parse_dissection, parse_word, phi, standard_dissection,
-                     surface_depth_check, verify_depth_bound)
+                     check_injectivity_criterion, check_relator, commutator,
+                     commutator_witness, depth_function, enumerate_elements,
+                     format_dissection, in_dimension_subgroup, intersection_graph, lcs_depth,
+                     mu, parse_dissection, parse_syllables, parse_word, phi,
+                     standard_dissection, surface_depth_check, verify_depth_bound)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -64,6 +65,18 @@ WRONG_TYPES = {
     "phi": (lambda: phi("a1", 5), "dissection must be a Dissection, got int"),
     "surface_depth_check": (lambda: surface_depth_check("a1", f2()),
                             "dissection must be a Dissection, got Graph"),
+    "commutator": (lambda: commutator(WORD, 5), "v must be a GroupWord, got int"),
+    "GroupWord.equals": (lambda: WORD.equals(5), "other must be a GroupWord, got int"),
+    "check_relator": (lambda: check_relator(5), "dissection must be a Dissection, got int"),
+    "check_injectivity_criterion": (lambda: check_injectivity_criterion(5),
+                                    "dissection must be a Dissection, got int"),
+    "intersection_graph": (lambda: intersection_graph(5),
+                           "dissection must be a Dissection, got int"),
+    "format_dissection": (lambda: format_dissection(5),
+                          "dissection must be a Dissection, got int"),
+    "parse_syllables": (lambda: parse_syllables(5), "text must be a str, got int"),
+    "parse_word.text": (lambda: parse_word(5, f2()), "text must be a str, got int"),
+    "parse_word.graph": (lambda: parse_word("a", 5), "graph must be a Graph, got int"),
 }
 
 

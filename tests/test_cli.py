@@ -732,6 +732,74 @@ def test_import_builds_no_parser_or_curve_system(tmp_path):
     assert run_python(["-c", probe], tmp_path) == (0, "0 0\n", "")
 
 
+# --- direct dispatch: a known command goes straight to its own parser ---
+
+# A valid argument list per command, its required option first.  No file is
+# opened: these tests stop at the parsed namespace.
+VALID_ARGS = {
+    "nf": ["--graph", "g.txt", "a"],
+    "norm": ["--graph", "g.txt", "a b"],
+    "eq": ["--graph", "g.txt", "a", "b"],
+    "magnus": ["--graph", "g.txt", "--cap", "3", "[a,b]"],
+    "depth": ["--graph", "g.txt", "--cap", "4", "[a,b]"],
+    "enum": ["--graph", "g.txt", "--max-norm", "3"],
+    "dfun": ["--graph", "g.txt", "--k", "2"],
+    "verify": ["--graph", "g.txt"],
+    "surface-phi": ["--genus", "2", "a1"],
+    "surface-check": ["--dissection", "d.txt"],
+    "surface-depth": ["--genus", "2", "[a1,b1]"],
+}
+
+
+def dispatch_cases():
+    for command, args in VALID_ARGS.items():
+        yield [command] + args
+        yield [command, "-h"]
+        yield [command] + args[2:]  # the required option left out
+        yield [command] + args + ["--bogus"]
+        yield [command] + args + ["--cap", "0"]
+        yield [command] + args + ["--genus", "3", "--dissection", "d.txt"]
+    yield from ([], ["--help"], ["nope"], ["--graph", "g.txt", "nf", "a"])
+
+
+def full_tree(argv):
+    """Exit code (None when parsed), stdout, stderr and parsed arguments of
+    the whole parser tree on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed.append(vars(cli.build_parser().parse_args(argv)))
+        except SystemExit as exit_:
+            code = 0 if exit_.code in (0, None) else 2
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def test_dispatch_cases_cover_every_command():
+    assert sorted(VALID_ARGS) == sorted(cli._shared_parser()[1])
+
+
+@pytest.mark.parametrize("argv", list(dispatch_cases()), ids=lambda argv: " ".join(argv) or "-")
+def test_direct_dispatch_matches_the_full_parser(argv, monkeypatch):
+    code, out, err, expected = full_tree(argv)
+    parsed = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(vars(args)) or 0)
+    assert run_captured(argv) == (code or 0, out, err)
+    assert parsed == expected
+    parsed.clear()
+    monkeypatch.setattr(sys, "argv", ["raaglcs"] + argv)
+    assert run_captured(None) == (code or 0, out, err)
+    assert parsed == expected
+
+
+def test_known_command_skips_the_root_parser(tmp_path, monkeypatch):
+    parser, _ = cli._shared_parser()
+    roots = []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: roots.append(argv))
+    assert run_captured(["norm", "--graph", f2_file(tmp_path), "a b"]) == (0, "2\n", "")
+    assert roots == []
+
+
 # --- fuzzing: malformed input must exit 2 with one `error:` line ---
 
 def run_captured(argv):

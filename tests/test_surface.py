@@ -454,9 +454,11 @@ def count_calls(monkeypatch, module, name):
 
 def test_surface_depth_check_does_no_relator_work(monkeypatch):
     d = standard_dissection(6)
-    calls = count_calls(monkeypatch, surface, "phi")
+    phi_calls = count_calls(monkeypatch, surface, "phi")
+    images = count_calls(monkeypatch, surface, "_image")
     assert surface_depth_check("a1", d).bound_holds
-    assert len(calls) == 1  # the word's image only
+    assert phi_calls == []  # the relator image is not rebuilt
+    assert [args[0] for args in images] == [[("a1", 1)]]  # the word's image only
 
 
 def test_standard_dissection_reduces_relator_once(monkeypatch):

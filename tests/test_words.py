@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import (f2, k3, marked_canonical, p3, piling_is_trivial, random_graph,
-                      random_word, swap_closure_lex_min, z2)
-from raaglcs import GroupWord, Trace, commutator, parse_syllables, parse_word
+from conftest import (f2, k3, marked_canonical, oracle_parse_syllables, p3,
+                      piling_is_trivial, random_graph, random_word, swap_closure_lex_min, z2)
+from raaglcs import Graph, GroupWord, Trace, commutator, parse_syllables, parse_word
 from raaglcs.words import MAX_WORD_SYLLABLES
 
 
@@ -337,3 +339,36 @@ def test_parse_bracket_errors():
                           (", é", "cannot parse word at 'é'")]:
         with pytest.raises(ValueError, match=message):
             parse_syllables(text)
+
+
+def outcome(call):
+    """The call's value, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as err:
+        return f"error: {err}"
+
+
+# Names known and unknown to PARITY_GRAPH, the identity literal, exponents
+# signed, zero, with leading zeros and past the integer parse limit,
+# brackets, commas, spaces and stray characters.
+WORD_PIECES = ["a", "b", "x1", "c", "1", "^", "^2", "^-1", "^+3", "^0", "^-00", "^007",
+               "^" + "1" * 4400, "[", "]", ",", " ", "\t", "+", "é", "-"]
+WORD_TEXTS = st.lists(st.sampled_from(WORD_PIECES), max_size=24).map("".join) | st.text(max_size=24)
+PARITY_GRAPH = Graph(["a", "b", "x1", "1"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(WORD_TEXTS)
+@example("[a," * 40 + "b" + "]" * 40)
+@example("[a," * 40 + "b" + "]" * 40 + " +")
+@example("[a^-00, b] é")
+def test_parse_matches_the_oracle(text):
+    assert outcome(lambda: parse_syllables(text)) == \
+        outcome(lambda: oracle_parse_syllables(text))
+    assert outcome(lambda: parse_word(text, PARITY_GRAPH).codes) == \
+        outcome(lambda: GroupWord(PARITY_GRAPH, oracle_parse_syllables(text)).codes)
+
+
+def test_parse_word_names_the_unknown_vertex():
+    assert outcome(lambda: parse_word("[a, b c^2] x1", PARITY_GRAPH)) == "error: unknown vertex 'c'"
